@@ -20,7 +20,7 @@ import random
 from .env import (Agv, FleetConfig, Requirements, ScenarioSpec, Task,
                   TerminalEnv, default_network, scenario_prompt)
 from .errors import InfeasibleGeneration, SchemaError
-from .solver import (PathRequirement, SolveError, SolverInstance,
+from .solver import (PathRequirement, RoadGraph, SolveError, SolverInstance,
                      VehicleProblem, solve)
 
 FLEET_SIZE = 30
@@ -42,7 +42,7 @@ def fixed_scenario(kind: str) -> ScenarioSpec:
     return _FIXED_SPECS[kind]
 
 
-def _vehicle_feasible(edges: dict, spec: ScenarioSpec, agv_id: str,
+def _vehicle_feasible(graph: RoadGraph, spec: ScenarioSpec, agv_id: str,
                       task_id: str, od: tuple[int, int]) -> bool:
     gone: set[tuple[int, int]] = set()
     requirement = None
@@ -54,8 +54,7 @@ def _vehicle_feasible(edges: dict, spec: ScenarioSpec, agv_id: str,
         gone = {(u, v), (v, u)}
     elif spec.kind == "designated_route" and task_id == spec.task:
         requirement = PathRequirement("subpath", spec.nodes)
-    effective = {e: w for e, w in edges.items() if e not in gone}
-    problem = VehicleProblem(vehicle=agv_id, od=od, edges=effective,
+    problem = VehicleProblem(vehicle=agv_id, od=od, edges=graph.without(gone),
                              requirement=requirement)
     try:
         solve(SolverInstance(vehicles=(problem,)))
@@ -72,7 +71,7 @@ def generate_instances(seed: int, kind: str, count: int,
     spec = fixed_scenario(kind)
     network = default_network()
     node_ids = sorted(network.node_ids())
-    edges = network.lengths()
+    graph = RoadGraph(network.lengths())
     instances = []
     for i in range(count):
         rng = random.Random(f"{seed}:{kind}:{i}")
@@ -93,7 +92,7 @@ def generate_instances(seed: int, kind: str, count: int,
                 destination = rng.choice(node_ids)
                 if origin == destination:
                     continue
-                if _vehicle_feasible(edges, spec, agv_id, task_id,
+                if _vehicle_feasible(graph, spec, agv_id, task_id,
                                      (origin, destination)):
                     od = (origin, destination)
                     break

@@ -5,12 +5,21 @@ coupling), so the global optimum is the sum of independent constrained
 shortest-path solves.  Paths may revisit nodes but never reuse a
 directed edge; among equal-cost paths the lexicographically smallest
 node sequence wins, which makes every result deterministic.
+
+A network's links are indexed once, in a `RoadGraph`; each vehicle gets
+a view of it with that vehicle's removed links taken out.  A search runs
+Dijkstra from the target over reversed links until the source settles,
+then walks forward from the source, always to the smallest neighbour on
+a shortest route.
 """
 
 from __future__ import annotations
 
+import copy
 import heapq
+import math
 import time
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -20,9 +29,60 @@ from .errors import VdsAgentError
 
 DEFAULT_TIME_LIMIT = 300.0
 
+# A search reads the clock once per this many heap pops.
+CLOCK_EVERY = 256
+
 _now = time.monotonic  # patched in tests to exercise the timeout path
 
-EdgeMap = dict[tuple[int, int], float]
+EdgeMap = Mapping[tuple[int, int], float]
+_Adjacency = dict[int, list[tuple[int, float]]]
+
+
+class RoadGraph(EdgeMap):
+    """Read-only map (u, v) -> length: a network's links minus `removed`.
+
+    The lengths and the successor and predecessor lists, sorted by node,
+    are built once and shared by every view `without` derives, so a
+    vehicle's graph costs only the links it loses.
+    """
+
+    def __init__(self, lengths: EdgeMap):
+        self._lengths = dict(lengths)
+        self._succ: _Adjacency = {}
+        self._pred: _Adjacency = {}
+        for (u, v), w in self._lengths.items():
+            self._succ.setdefault(u, []).append((v, w))
+            self._pred.setdefault(v, []).append((u, w))
+        for adjacent in (*self._succ.values(), *self._pred.values()):
+            adjacent.sort()
+        self.removed: frozenset[tuple[int, int]] = frozenset()
+        # adjacency lists of the nodes a removed link touches, filtered
+        self._cut_succ: _Adjacency = {}
+        self._cut_pred: _Adjacency = {}
+
+    def without(self, edges: Iterable[tuple[int, int]]) -> RoadGraph:
+        """A view that also lacks `edges`; links not in it are ignored."""
+        gone = self.removed.union(e for e in edges if e in self._lengths)
+        if gone == self.removed:
+            return self
+        view = copy.copy(self)
+        view.removed = gone
+        view._cut_succ = {u: [(v, w) for v, w in self._succ[u]
+                              if (u, v) not in gone] for u, _ in gone}
+        view._cut_pred = {v: [(u, w) for u, w in self._pred[v]
+                              if (u, v) not in gone] for _, v in gone}
+        return view
+
+    def __getitem__(self, edge: tuple[int, int]) -> float:
+        if edge in self.removed:
+            raise KeyError(edge)
+        return self._lengths[edge]
+
+    def __iter__(self) -> Iterator[tuple[int, int]]:
+        return (e for e in self._lengths if e not in self.removed)
+
+    def __len__(self) -> int:
+        return len(self._lengths) - len(self.removed)
 
 
 class SolveError(VdsAgentError):
@@ -51,7 +111,7 @@ class PathRequirement:
 class VehicleProblem:
     vehicle: str
     od: tuple[int, int] | None
-    edges: EdgeMap
+    edges: EdgeMap  # a RoadGraph view, or any mapping (indexed per search)
     requirement: PathRequirement | None = None
 
 
@@ -76,34 +136,65 @@ class Solution:
     objective: float
 
 
-def shortest_path(edges: EdgeMap, source: int,
-                  target: int) -> tuple[float, tuple[int, ...]]:
-    """Dijkstra over positive edge lengths.
+def shortest_path(edges: EdgeMap, source: int, target: int,
+                  deadline: float = math.inf) -> tuple[float, tuple[int, ...]]:
+    """Cheapest route source -> target over positive lengths.
 
-    Ties break toward the lexicographically smallest node sequence: the
-    heap is keyed by (cost, path), and with strictly positive lengths the
-    first settled entry per node is the lexicographically smallest
-    optimal simple path to it.
+    Dijkstra runs from the target over reversed links, keyed by node, and
+    stops once the source settles, giving d(u), the distance from u to the
+    target.  A forward walk from the source then steps from each u to the
+    smallest successor v with w(u, v) + d(v) == d(u), taking only nodes
+    settled before u.  Every optimal route is node-simple and ends at the
+    target, so this greedy walk yields the lexicographically smallest
+    optimal node sequence.  The tie-break is exact whenever path sums are
+    exact in binary floating point, which covers integer lengths and so
+    every packaged and generated network; with other lengths the route is
+    optimal up to float rounding.  The walk always terminates: each step
+    goes to a node settled earlier.  The cost returned is the forward sum
+    of lengths along the route.
+
+    A plain mapping is indexed into a RoadGraph first.  The clock is read
+    every CLOCK_EVERY heap pops; past `deadline` the search raises timeout.
     """
+    graph = edges if isinstance(edges, RoadGraph) else RoadGraph(edges)
     if source == target:
         return 0.0, (source,)
-    adjacency: dict[int, list[tuple[int, float]]] = {}
-    for (u, v), w in edges.items():
-        adjacency.setdefault(u, []).append((v, w))
-    heap: list[tuple[float, tuple[int, ...]]] = [(0.0, (source,))]
-    settled: set[int] = set()
+    pred, cut_pred = graph._pred, graph._cut_pred
+    dist: dict[int, float] = {target: 0.0}
+    rank: dict[int, int] = {}  # settle order
+    heap: list[tuple[float, int]] = [(0.0, target)]
+    pops = 0
     while heap:
-        cost, path = heapq.heappop(heap)
-        node = path[-1]
-        if node in settled:
+        pops += 1
+        if pops % CLOCK_EVERY == 0 and _now() > deadline:
+            raise SolveError("timeout", "deadline passed during search")
+        d, node = heapq.heappop(heap)
+        if node in rank:
             continue
-        settled.add(node)
-        if node == target:
-            return cost, path
-        for nxt, w in adjacency.get(node, ()):
-            if nxt not in settled:
-                heapq.heappush(heap, (cost + w, path + (nxt,)))
-    raise SolveError("infeasible", f"no path from {source} to {target}")
+        rank[node] = len(rank)
+        if node == source:
+            break
+        into = cut_pred[node] if node in cut_pred else pred.get(node, ())
+        for prev, w in into:
+            nd = d + w
+            if nd < dist.get(prev, math.inf):
+                dist[prev] = nd
+                heapq.heappush(heap, (nd, prev))
+    else:
+        raise SolveError("infeasible", f"no path from {source} to {target}")
+    succ, cut_succ = graph._succ, graph._cut_succ
+    path = [source]
+    cost = 0.0
+    node = source
+    while node != target:
+        here, limit = dist[node], rank[node]
+        for nxt, w in (cut_succ[node] if node in cut_succ else succ[node]):
+            if rank.get(nxt, limit) < limit and w + dist[nxt] == here:
+                break
+        path.append(nxt)
+        cost += w
+        node = nxt
+    return cost, tuple(path)
 
 
 def _duplicate_edge(path: Iterable[int]) -> tuple[int, int] | None:
@@ -119,66 +210,64 @@ def _duplicate_edge(path: Iterable[int]) -> tuple[int, int] | None:
     return None
 
 
-def _edge_cost(edges: EdgeMap, path: tuple[int, ...], vehicle: str) -> float:
+def _edge_cost(edges: EdgeMap, path: tuple[int, ...]) -> float:
     total = 0.0
     for u, v in zip(path, path[1:]):
         if (u, v) not in edges:
-            raise SolveError(
-                "infeasible",
-                f"edge ({u}, {v}) not available to vehicle {vehicle}")
+            raise SolveError("infeasible", f"edge ({u}, {v}) not available")
         total += edges[(u, v)]
     return total
 
 
-def _solve_vehicle(vp: VehicleProblem) -> tuple[float, tuple[int, ...]]:
+def _solve_vehicle(vp: VehicleProblem,
+                   deadline: float) -> tuple[float, tuple[int, ...]]:
     if vp.od is None:
         return 0.0, ()
     source, target = vp.od
     req = vp.requirement
     if req is None:
-        return shortest_path(vp.edges, source, target)
+        return shortest_path(vp.edges, source, target, deadline)
     if req.kind == "exact":
         path = req.nodes
         if path[0] != source or path[-1] != target:
             raise SolveError(
                 "bind_conflict",
                 f"exact path endpoints ({path[0]}, {path[-1]}) do not match "
-                f"OD pair ({source}, {target}) of vehicle {vp.vehicle}")
+                f"OD pair ({source}, {target})")
         dup = _duplicate_edge(path)
         if dup is not None:
-            raise SolveError(
-                "degenerate_edge_reuse",
-                f"exact path for vehicle {vp.vehicle} reuses edge {dup}")
-        return _edge_cost(vp.edges, path, vp.vehicle), path
+            raise SolveError("degenerate_edge_reuse",
+                             f"exact path reuses edge {dup}")
+        return _edge_cost(vp.edges, path), path
     # subpath: shortest head and tail around the forced segment
-    forced_cost = _edge_cost(vp.edges, req.nodes, vp.vehicle)
-    head_cost, head = shortest_path(vp.edges, source, req.nodes[0])
-    tail_cost, tail = shortest_path(vp.edges, req.nodes[-1], target)
+    forced_cost = _edge_cost(vp.edges, req.nodes)
+    head_cost, head = shortest_path(vp.edges, source, req.nodes[0], deadline)
+    tail_cost, tail = shortest_path(vp.edges, req.nodes[-1], target, deadline)
     full = head + req.nodes[1:] + tail[1:]
     dup = _duplicate_edge(full)
     if dup is not None:
-        raise SolveError(
-            "degenerate_edge_reuse",
-            f"subpath solution for vehicle {vp.vehicle} reuses edge {dup}")
+        raise SolveError("degenerate_edge_reuse",
+                         f"subpath solution reuses edge {dup}")
     return head_cost + forced_cost + tail_cost, full
 
 
 def solve(instance: SolverInstance,
           time_limit: float = DEFAULT_TIME_LIMIT) -> Solution:
-    """Solve every vehicle problem; Z is the sum of per-vehicle costs."""
-    start = _now()
+    """Solve every vehicle problem; Z is the sum of per-vehicle costs.
+
+    The time limit holds between vehicles and inside each search.
+    """
+    deadline = _now() + time_limit
     paths: dict[str, tuple[int, ...]] = {}
     costs: dict[str, float] = {}
     total = 0.0
     for vp in instance.vehicles:
-        if _now() - start > time_limit:
+        if _now() > deadline:
             raise SolveError("timeout",
                              f"time limit of {time_limit}s exceeded")
         try:
-            cost, path = _solve_vehicle(vp)
+            cost, path = _solve_vehicle(vp, deadline)
         except SolveError as exc:
-            if f"vehicle {vp.vehicle}" in exc.detail:
-                raise
             raise SolveError(exc.kind,
                              f"vehicle {vp.vehicle}: {exc.detail}") from exc
         paths[vp.vehicle] = path
@@ -212,10 +301,11 @@ def bind(ast: dsl.ModelAst, env: TerminalEnv) -> SolverInstance:
 
     Assumes static_check(ast) passed.  Statements apply in program order;
     every vehicle in the environment appears in the result exactly once.
+    A path requirement on a vehicle without a task is a bind_conflict.
     """
     known = env.network.node_ids()
-    base = env.network.lengths()
-    edges: dict[str, EdgeMap] = {a.id: dict(base) for a in env.fleet.agvs}
+    removed_all: set[tuple[int, int]] = set()
+    removed_for: dict[str, set[tuple[int, int]]] = {}
     requirements: dict[str, PathRequirement] = {}
     ods: dict[str, tuple[int, int] | None] = {a.id: None for a in env.fleet.agvs}
     for task in env.fleet.tasks:
@@ -225,12 +315,12 @@ def bind(ast: dsl.ModelAst, env: TerminalEnv) -> SolverInstance:
             continue
         if isinstance(stmt, dsl.RemoveEdge):
             _check_nodes((stmt.source, stmt.target), known)
-            for vehicle_edges in edges.values():
-                vehicle_edges.pop((stmt.source, stmt.target), None)
+            removed_all.add((stmt.source, stmt.target))
         elif isinstance(stmt, dsl.ForbidEdge):
             _check_nodes((stmt.source, stmt.target), known)
             vehicle = _resolve_subject(stmt.subject, env)
-            edges[vehicle].pop((stmt.source, stmt.target), None)
+            removed_for.setdefault(vehicle, set()).add(
+                (stmt.source, stmt.target))
         else:
             _check_nodes(stmt.nodes, known)
             vehicle = _resolve_subject(stmt.subject, env)
@@ -239,20 +329,23 @@ def bind(ast: dsl.ModelAst, env: TerminalEnv) -> SolverInstance:
                     "bind_conflict",
                     f"multiple path requirements bound to vehicle {vehicle}")
             kind = "exact" if isinstance(stmt, dsl.RequireExactPath) else "subpath"
-            if kind == "exact":
-                od = ods[vehicle]
-                if od is None:
-                    raise SolveError(
-                        "bind_conflict",
-                        f"exact path bound to vehicle {vehicle} which has no task")
-                if stmt.nodes[0] != od[0] or stmt.nodes[-1] != od[1]:
-                    raise SolveError(
-                        "bind_conflict",
-                        f"exact path endpoints ({stmt.nodes[0]}, {stmt.nodes[-1]}) "
-                        f"do not match OD pair {od} of vehicle {vehicle}")
+            od = ods[vehicle]
+            if od is None:
+                raise SolveError(
+                    "bind_conflict",
+                    f"{kind} path requirement bound to vehicle {vehicle} "
+                    f"which has no task")
+            first, last = stmt.nodes[0], stmt.nodes[-1]
+            if kind == "exact" and (first, last) != od:
+                raise SolveError(
+                    "bind_conflict",
+                    f"exact path endpoints ({first}, {last}) "
+                    f"do not match OD pair {od} of vehicle {vehicle}")
             requirements[vehicle] = PathRequirement(kind, stmt.nodes)
+    common = RoadGraph(env.network.lengths()).without(removed_all)
     problems = tuple(
-        VehicleProblem(vehicle=a.id, od=ods[a.id], edges=edges[a.id],
+        VehicleProblem(vehicle=a.id, od=ods[a.id],
+                       edges=common.without(removed_for.get(a.id, ())),
                        requirement=requirements.get(a.id))
         for a in env.fleet.agvs
     )
@@ -268,7 +361,6 @@ def oracle_solve(env: TerminalEnv, spec: ScenarioSpec | None,
     """
     if spec is not None:
         spec.validate_against(env)
-    base = env.network.lengths()
     removed_all: set[tuple[int, int]] = set()
     removed_for: dict[str, set[tuple[int, int]]] = {}
     subpath_for: dict[str, tuple[int, ...]] = {}
@@ -282,15 +374,16 @@ def oracle_solve(env: TerminalEnv, spec: ScenarioSpec | None,
         else:
             task = env.fleet.task_by_id(spec.task)
             subpath_for[task.agv] = tuple(spec.nodes)
+    common = RoadGraph(env.network.lengths()).without(removed_all)
     problems = []
     for agv in env.fleet.agvs:
-        gone = removed_all | removed_for.get(agv.id, set())
-        eff = {e: w for e, w in base.items() if e not in gone}
         task = env.fleet.task_for(agv.id)
         od = (task.origin, task.destination) if task else None
         req = None
         if agv.id in subpath_for:
             req = PathRequirement("subpath", subpath_for[agv.id])
-        problems.append(VehicleProblem(vehicle=agv.id, od=od, edges=eff,
-                                       requirement=req))
+        problems.append(VehicleProblem(
+            vehicle=agv.id, od=od,
+            edges=common.without(removed_for.get(agv.id, ())),
+            requirement=req))
     return solve(SolverInstance(vehicles=tuple(problems)), time_limit)

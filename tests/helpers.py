@@ -3,10 +3,13 @@
 Everything here avoids the library's own algorithms: shortest paths are
 found by exhaustive enumeration and costs are summed with Fractions, so
 these functions can serve as ground truth for exactness tests.
+`path_heap_dijkstra` is the solver's earlier search, kept as the
+reference for graphs too large to enumerate.
 """
 
 from __future__ import annotations
 
+import heapq
 import random
 import string
 from fractions import Fraction
@@ -142,3 +145,43 @@ def min_walk(edges: EdgeMap, source: int, target: int,
         if best is None or cand < best:
             best = cand
     return best
+
+
+def grid_edges(side: int, length: float = 10) -> EdgeMap:
+    """A side x side grid, every neighbour pair linked both ways."""
+    edges = {}
+    for node in range(side * side):
+        row, col = divmod(node, side)
+        if col + 1 < side:
+            edges[(node, node + 1)] = edges[(node + 1, node)] = length
+        if row + 1 < side:
+            edges[(node, node + side)] = edges[(node + side, node)] = length
+    return edges
+
+
+def path_heap_dijkstra(edges: EdgeMap, source: int,
+                       target: int) -> tuple[float, tuple[int, ...]] | None:
+    """Dijkstra with a (cost, path) heap; None when target is unreachable.
+
+    With strictly positive lengths the first settled entry per node is the
+    lexicographically smallest optimal path to it.
+    """
+    if source == target:
+        return 0.0, (source,)
+    adjacency: dict[int, list[tuple[int, float]]] = {}
+    for (u, v), w in edges.items():
+        adjacency.setdefault(u, []).append((v, w))
+    heap: list[tuple[float, tuple[int, ...]]] = [(0.0, (source,))]
+    settled: set[int] = set()
+    while heap:
+        cost, path = heapq.heappop(heap)
+        node = path[-1]
+        if node in settled:
+            continue
+        settled.add(node)
+        if node == target:
+            return cost, path
+        for nxt, w in adjacency.get(node, ()):
+            if nxt not in settled:
+                heapq.heappush(heap, (cost + w, path + (nxt,)))
+    return None

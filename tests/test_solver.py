@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import min_simple_path, min_walk, path_cost
+from helpers import (grid_edges, min_simple_path, min_walk, path_cost,
+                     path_heap_dijkstra)
 from vdsagent import dsl
 from vdsagent import solver as sv
 from vdsagent.env import (Agv, FleetConfig, Network, Node, Edge, Requirements,
@@ -67,22 +68,54 @@ class TestShortestPath:
         assert exc.value.kind == "infeasible"
 
     def test_random_graphs_match_brute_force(self):
+        # integer lengths, then multiples of 0.1, whose path sums round
         rng = random.Random(11)
-        for _ in range(150):
-            n = rng.randrange(2, 7)
-            nodes = list(range(n))
-            pairs = [(u, v) for u in nodes for v in nodes if u != v]
-            rng.shuffle(pairs)
-            edges = {p: rng.randrange(1, 20) for p in pairs[:rng.randrange(1, 11)]}
-            source, target = rng.sample(nodes, 2)
-            expected = min_simple_path(edges, source, target)
-            if expected is None:
-                with pytest.raises(sv.SolveError):
-                    sv.shortest_path(edges, source, target)
-            else:
+        for scale in (1, 10):
+            for _ in range(150):
+                n = rng.randrange(2, 7)
+                nodes = list(range(n))
+                pairs = [(u, v) for u in nodes for v in nodes if u != v]
+                rng.shuffle(pairs)
+                edges = {p: rng.randrange(1, 20 * scale) / scale
+                         for p in pairs[:rng.randrange(1, 11)]}
+                source, target = rng.sample(nodes, 2)
+                expected = min_simple_path(edges, source, target)
+                if expected is None:
+                    with pytest.raises(sv.SolveError):
+                        sv.shortest_path(edges, source, target)
+                    continue
                 cost, path = sv.shortest_path(edges, source, target)
-                assert Fraction(cost) == expected[0]
-                assert path == expected[1]
+                assert cost == sum(edges[e] for e in zip(path, path[1:]))
+                if scale == 1:
+                    assert Fraction(cost) == expected[0]
+                    assert path == expected[1]
+                else:
+                    # the walk ended on a node-simple route that is
+                    # optimal up to float rounding
+                    assert path[0] == source and path[-1] == target
+                    assert len(set(path)) == len(path)
+                    exact = path_cost(edges, path)
+                    assert abs(exact - expected[0]) < Fraction(1, 10**9)
+
+    def test_matches_path_heap_reference_on_grids(self):
+        # uniform lengths put equal-cost ties everywhere
+        rng = random.Random(2)
+        for side in (10, 20, 40):
+            full = grid_edges(side)
+            for _ in range(60):
+                share = rng.choice((0.0, 0.1, 0.3))
+                edges = dict(full)
+                for u, v in rng.sample(sorted(full), int(share * len(full))):
+                    edges.pop((u, v), None)
+                    edges.pop((v, u), None)
+                source, target = rng.sample(range(side * side), 2)
+                expected = path_heap_dijkstra(edges, source, target)
+                if expected is None:
+                    with pytest.raises(sv.SolveError) as exc:
+                        sv.shortest_path(edges, source, target)
+                    assert exc.value.kind == "infeasible"
+                else:
+                    assert sv.shortest_path(edges, source, target) == expected
 
 
 def single(problem):
@@ -199,6 +232,21 @@ class TestSolve:
                 time_limit=300.0)
         assert exc.value.kind == "timeout"
 
+    def test_timeout_inside_one_search(self, monkeypatch):
+        # the clock jumps after solve's own two reads, so only a check
+        # inside the one vehicle's search can see it
+        reads = []
+
+        def clock():
+            reads.append(None)
+            return 0.0 if len(reads) <= 2 else 1000.0
+
+        monkeypatch.setattr(sv, "_now", clock)
+        with pytest.raises(sv.SolveError) as exc:
+            single(sv.VehicleProblem("v", (0, 40 * 40 - 1), grid_edges(40)))
+        assert exc.value.kind == "timeout"
+        assert len(reads) == 3
+
     def test_subpath_relaxation_property(self, grid_lengths):
         rng = random.Random(3)
         nodes = sorted({u for u, _ in grid_lengths})
@@ -302,6 +350,17 @@ class TestBind:
             requirements=env.requirements)
         with pytest.raises(sv.SolveError) as exc:
             bound('  require_exact_path vehicle "A" [0, 1]', env)
+        assert exc.value.kind == "bind_conflict"
+
+    def test_subpath_without_task(self):
+        env = env_for(default_network(), [("B", "T1", 0, 1)])
+        env = TerminalEnv(
+            network=env.network,
+            fleet=FleetConfig(agvs=env.fleet.agvs + (Agv("A"),),
+                              tasks=env.fleet.tasks),
+            requirements=env.requirements)
+        with pytest.raises(sv.SolveError) as exc:
+            bound('  require_subpath vehicle "A" [0, 1]', env)
         assert exc.value.kind == "bind_conflict"
 
     def test_bind_then_solve_equals_oracle(self, closure_instance):
