@@ -25,6 +25,7 @@ from .bench import (BackendProvider, SuiteConfig, report_to_csv,
                     run_benchmark, scripted_provider, shared_provider)
 from .env import ScenarioSpec, TerminalEnv, parse_environment
 from .errors import ConfigError, VdsAgentError
+from .files import atomic_write
 from .knowledge import Exemplar, KnowledgeBase, load, load_seed_kb
 from .solver import SolveError, Solution, oracle_solve
 from .workflow import WorkflowConfig, run_transfer
@@ -47,13 +48,6 @@ def _read_json(path: str | Path, what: str) -> Any:
         return json.loads(_read_text(path, what))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{what} file {path}: invalid JSON ({exc})") from exc
-
-
-def _atomic_write(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    tmp.replace(path)
 
 
 def _load_env(net: str | None, config: str | None,
@@ -122,16 +116,15 @@ def cmd_run(args: argparse.Namespace) -> int:
     backend = _make_backend(args.llm)
     outcome = run_transfer(env, kb, config, backend)
     if args.trace:
-        Path(args.trace).parent.mkdir(parents=True, exist_ok=True)
         outcome.write_trace(args.trace)
     print(f"status: {outcome.status}")
     print(f"iterations: {outcome.iterations}")
     if outcome.solution is not None:
         print(f"objective: {outcome.solution.objective:g}")
         if args.out:
-            _atomic_write(Path(args.out),
-                          json.dumps(_solution_payload(outcome.solution),
-                                     indent=2) + "\n")
+            atomic_write(args.out,
+                         json.dumps(_solution_payload(outcome.solution),
+                                    indent=2) + "\n")
             print(f"solution: {args.out}")
     else:
         final = outcome.attempts[-1]
@@ -180,8 +173,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
     provider = _make_provider(args.llm)
     out = Path(args.out)
     report = run_benchmark(suite, kb, provider, trace_dir=out / "traces")
-    _atomic_write(out / "report.json", json.dumps(report, indent=2) + "\n")
-    _atomic_write(out / "report.csv", report_to_csv(report))
+    atomic_write(out / "report.json", json.dumps(report, indent=2) + "\n")
+    atomic_write(out / "report.csv", report_to_csv(report))
     overall = report["aggregates"]["overall"]
     print(f"config: {report['config']['label']}")
     print(f"instances: {overall['n_total']}")
@@ -211,8 +204,8 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         print(f"{vehicle}: {route} (cost {solution.costs[vehicle]:g})")
     print(f"objective: {solution.objective:g}")
     if args.out:
-        _atomic_write(Path(args.out),
-                      json.dumps(_solution_payload(solution), indent=2) + "\n")
+        atomic_write(args.out,
+                     json.dumps(_solution_payload(solution), indent=2) + "\n")
     return 0
 
 
@@ -238,7 +231,7 @@ def cmd_kb(args: argparse.Namespace) -> int:
         if not isinstance(data.get(key), str):
             raise ConfigError(f"exemplar file needs string field '{key}'")
     ex = Exemplar(
-        id=data.get("id") or kb.next_exemplar_id(),
+        id=kb.next_exemplar_id() if data.get("id") is None else data["id"],
         description=data["description"],
         env_digest=data.get("env_digest", ""),
         program=data["program"],

@@ -3,7 +3,10 @@
 Primitives are markdown files with YAML front-matter (id, category,
 title); exemplars are one-JSON-file-per-entry so accumulated knowledge
 stays reviewable.  Retrieval is lexical BM25 (k1=1.2, b=0.75) over the
-lowercased, punctuation-split text of description + program.
+lowercased, punctuation-split text of description + program.  Each
+exemplar tokenizes its text once and caches its term counts and token
+count, so a retrieval costs one pass over the exemplars' term keys, not
+one re-tokenization of the whole base.
 
 BM25 statistics (N, document frequency, average length) are computed
 over the matching subset only (documents sharing at least one query
@@ -16,15 +19,18 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
-from typing import Any, Callable, Sequence
+from typing import Any, Mapping, Sequence
 
 import yaml
 
 from . import dsl
 from .env import TerminalEnv, env_digest
 from .errors import ValidationError
+from .files import atomic_write
 
 PRIMITIVE_CATEGORIES = ("variable_definition", "constraint_formulation",
                         "objective_function")
@@ -33,6 +39,8 @@ BM25_K1 = 1.2
 BM25_B = 0.75
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
+# Exemplar ids name their file, so they must be a plain file stem.
+_EXEMPLAR_ID_RE = re.compile(r"[A-Za-z0-9][A-Za-z0-9._-]*")
 
 
 def tokenize(text: str) -> list[str]:
@@ -62,6 +70,15 @@ class Exemplar:
     def document(self) -> str:
         return self.description + "\n" + self.program
 
+    @cached_property
+    def term_counts(self) -> Mapping[str, int]:
+        """Occurrences of each token of `document()`, computed once."""
+        return Counter(tokenize(self.document()))
+
+    @cached_property
+    def token_count(self) -> int:
+        return sum(self.term_counts.values())
+
 
 @dataclass(frozen=True)
 class RetrievedContext:
@@ -72,8 +89,11 @@ class RetrievedContext:
 
 def validate_exemplar(ex: Exemplar) -> None:
     """Raise ValidationError unless the exemplar is usable as a shot."""
-    if not ex.id:
-        raise ValidationError("exemplar has an empty id")
+    if not isinstance(ex.id, str) or not _EXEMPLAR_ID_RE.fullmatch(ex.id):
+        raise ValidationError(
+            f"exemplar id {ex.id!r} is not a safe file name: a string of "
+            f"letters, digits, '.', '_' and '-' that starts with a letter "
+            f"or digit")
     if not ex.description.strip():
         raise ValidationError(f"exemplar {ex.id}: empty description")
     try:
@@ -121,14 +141,10 @@ class KnowledgeBase:
             raise ValidationError(f"exemplar id {ex.id} already present")
         self._exemplars.append(ex)
         if self.root is not None:
-            path = self.root / "exemplars" / f"{ex.id}.json"
-            path.parent.mkdir(parents=True, exist_ok=True)
             payload = {"id": ex.id, "description": ex.description,
                        "env_digest": ex.env_digest, "program": ex.program}
-            tmp = path.with_suffix(".json.tmp")
-            tmp.write_text(json.dumps(payload, indent=2) + "\n",
-                           encoding="utf-8")
-            tmp.replace(path)
+            atomic_write(self.root / "exemplars" / f"{ex.id}.json",
+                         json.dumps(payload, indent=2) + "\n")
 
     def next_exemplar_id(self, prefix: str = "acc") -> str:
         existing = {e.id for e in self._exemplars}
@@ -179,6 +195,10 @@ def load(path: str | Path) -> KnowledgeBase:
             for key in ("id", "description", "env_digest", "program"):
                 if not isinstance(data.get(key), str):
                     raise ValidationError(f"{jf.name}: needs string field '{key}'")
+            if data["id"] != jf.stem:
+                # a later append of id == stem would overwrite this file
+                raise ValidationError(
+                    f"{jf.name}: id '{data['id']}' does not match the file name")
             ex = Exemplar(id=data["id"], description=data["description"],
                           env_digest=data["env_digest"], program=data["program"])
             validate_exemplar(ex)
@@ -197,9 +217,6 @@ def load_seed_kb() -> KnowledgeBase:
     return kb
 
 
-Scorer = Callable[[list[str], list[list[str]]], list[float]]
-
-
 def bm25_scores(query_terms: list[str], documents: list[list[str]]) -> list[float]:
     """Okapi BM25 with idf = ln(1 + (N - n + 0.5)/(n + 0.5)).
 
@@ -207,30 +224,42 @@ def bm25_scores(query_terms: list[str], documents: list[list[str]]) -> list[floa
     documents that share at least one query term; zero-overlap documents
     score 0 and cannot influence the others.
     """
+    return _bm25_counted(query_terms,
+                         [(Counter(doc), len(doc)) for doc in documents])
+
+
+def _bm25_counted(query_terms: Sequence[str],
+                  documents: Sequence[tuple[Mapping[str, int], int]]
+                  ) -> list[float]:
+    """`bm25_scores` over (term counts, token count) per document.
+
+    Each score sums its terms in sorted order with the float expressions
+    of the token-list form, so scores are bit-identical to re-counting
+    every token list.
+    """
     terms = sorted(set(query_terms))
-    matching = [doc for doc in documents if set(doc) & set(terms)]
+    hits = [[t for t in terms if t in counts] for counts, _ in documents]
+    matching = [i for i, found in enumerate(hits) if found]
     if not matching:
         return [0.0] * len(documents)
     n_docs = len(matching)
-    avgdl = sum(len(d) for d in matching) / n_docs
-    df = {t: sum(1 for d in matching if t in d) for t in terms}
+    avgdl = sum(documents[i][1] for i in matching) / n_docs
+    df = Counter(t for i in matching for t in hits[i])
+    idf = {t: math.log(1.0 + (n_docs - n + 0.5) / (n + 0.5))
+           for t, n in df.items()}
     scores = []
-    for doc in documents:
+    for (counts, length), found in zip(documents, hits):
         score = 0.0
-        length = len(doc)
-        for term in terms:
-            freq = doc.count(term)
-            if freq == 0:
-                continue
-            idf = math.log(1.0 + (n_docs - df[term] + 0.5) / (df[term] + 0.5))
-            norm = freq + BM25_K1 * (1.0 - BM25_B + BM25_B * length / avgdl)
-            score += idf * freq * (BM25_K1 + 1.0) / norm
+        if found:
+            scale = BM25_K1 * (1.0 - BM25_B + BM25_B * length / avgdl)
+            for term in found:
+                freq = counts[term]
+                score += idf[term] * freq * (BM25_K1 + 1.0) / (freq + scale)
         scores.append(score)
     return scores
 
 
-def retrieve(kb: KnowledgeBase, query: str, k: int,
-             scorer: Scorer = bm25_scores) -> RetrievedContext:
+def retrieve(kb: KnowledgeBase, query: str, k: int) -> RetrievedContext:
     """Rank exemplars for a query; primitives are always all included.
 
     Returns min(k, |exemplars|) exemplars ordered by score descending,
@@ -244,8 +273,8 @@ def retrieve(kb: KnowledgeBase, query: str, k: int,
     exemplars = kb.exemplars
     if k == 0 or not exemplars:
         return RetrievedContext(primitives=primitives, exemplars=(), scores=())
-    docs = [tokenize(e.document()) for e in exemplars]
-    scores = scorer(tokenize(query), docs)
+    scores = _bm25_counted(tokenize(query),
+                           [(e.term_counts, e.token_count) for e in exemplars])
     order = sorted(range(len(exemplars)),
                    key=lambda i: (-scores[i], exemplars[i].id))
     top = order[:k]

@@ -20,6 +20,7 @@ from typing import Any
 from . import dsl, llm, solver
 from .env import TerminalEnv, env_digest
 from .errors import ConfigError
+from .files import atomic_write
 from .knowledge import KnowledgeBase, RetrievedContext, accumulate, retrieve
 
 STAGES = ("extract", "parse", "static", "bind", "solve", "solved")
@@ -131,11 +132,7 @@ class TransferOutcome:
         }
 
     def write_trace(self, path: str | Path) -> None:
-        target = Path(path)
-        tmp = target.with_name(target.name + ".tmp")
-        tmp.write_text(json.dumps(self.to_dict(), indent=2) + "\n",
-                       encoding="utf-8")
-        tmp.replace(target)
+        atomic_write(path, json.dumps(self.to_dict(), indent=2) + "\n")
 
 
 def classify_stage_error(stage_reached: str) -> bool:

@@ -4,17 +4,21 @@ Everything here avoids the library's own algorithms: shortest paths are
 found by exhaustive enumeration and costs are summed with Fractions, so
 these functions can serve as ground truth for exactness tests.
 `path_heap_dijkstra` is the solver's earlier search, kept as the
-reference for graphs too large to enumerate.
+reference for graphs too large to enumerate; `list_count_bm25` is the
+retriever's earlier scorer, which re-counts every term in each token
+list.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 import random
 import string
 from fractions import Fraction
 
 from vdsagent import dsl
+from vdsagent.knowledge import BM25_B, BM25_K1
 
 EdgeMap = dict[tuple[int, int], float]
 
@@ -185,3 +189,28 @@ def path_heap_dijkstra(edges: EdgeMap, source: int,
             if nxt not in settled:
                 heapq.heappush(heap, (cost + w, path + (nxt,)))
     return None
+
+
+def list_count_bm25(query_terms: list[str],
+                    documents: list[list[str]]) -> list[float]:
+    """BM25 over token lists, statistics over the matching subset only."""
+    terms = sorted(set(query_terms))
+    matching = [doc for doc in documents if set(doc) & set(terms)]
+    if not matching:
+        return [0.0] * len(documents)
+    n_docs = len(matching)
+    avgdl = sum(len(d) for d in matching) / n_docs
+    df = {t: sum(1 for d in matching if t in d) for t in terms}
+    scores = []
+    for doc in documents:
+        score = 0.0
+        length = len(doc)
+        for term in terms:
+            freq = doc.count(term)
+            if freq == 0:
+                continue
+            idf = math.log(1.0 + (n_docs - df[term] + 0.5) / (df[term] + 0.5))
+            norm = freq + BM25_K1 * (1.0 - BM25_B + BM25_B * length / avgdl)
+            score += idf * freq * (BM25_K1 + 1.0) / norm
+        scores.append(score)
+    return scores

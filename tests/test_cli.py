@@ -291,6 +291,22 @@ class TestKb:
         assert code == 2
         assert "description" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("ident", [7, "sub/dir-x", "../escape"])
+    def test_add_rejects_unsafe_id(self, tmp_path, script_path, capsys,
+                                   ident):
+        root = self.make_kb_dir(tmp_path)
+        exemplar = script_path("ex.json", {
+            "id": ident,
+            "description": "a valid closure transfer",
+            "program": inj.CORRECT_PROGRAMS["road_closure"],
+        })
+        before = sorted(tmp_path.rglob("*"))
+        code = main(["kb", "add", "--kb", str(root), "--exemplar", exemplar])
+        assert code == 2
+        assert "exemplar id" in capsys.readouterr().err
+        assert sorted(tmp_path.rglob("*")) == before
+        assert main(["kb", "list", "--kb", str(root)]) == 0
+
     def test_list_missing_kb_dir(self, tmp_path, capsys):
         code = main(["kb", "list", "--kb", str(tmp_path / "nope")])
         assert code == 2

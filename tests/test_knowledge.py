@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+import helpers
 from vdsagent import knowledge as kn
 from vdsagent.errors import ValidationError
 from vdsagent.env import env_digest
@@ -67,6 +68,17 @@ class TestValidateExemplar:
     def test_rejects_empty_id(self):
         with pytest.raises(ValidationError):
             kn.validate_exemplar(kn.Exemplar("", "d", "", VALID_PROGRAM))
+
+    @pytest.mark.parametrize("ident", [7, None, "sub/dir-x", "../escape",
+                                       ".hidden", "-flag", "a b", "x\\y"])
+    def test_rejects_unsafe_id(self, ident):
+        with pytest.raises(ValidationError) as exc:
+            kn.validate_exemplar(kn.Exemplar(ident, "d", "", VALID_PROGRAM))
+        assert "exemplar id" in str(exc.value)
+
+    @pytest.mark.parametrize("ident", ["acc-0001", "ex.v2_a", "7"])
+    def test_accepts_file_stem_id(self, ident):
+        kn.validate_exemplar(kn.Exemplar(ident, "d", "", VALID_PROGRAM))
 
     def test_rejects_blank_description(self):
         with pytest.raises(ValidationError):
@@ -166,6 +178,26 @@ class TestLoadAndPersist:
         again = kn.load(tmp_path)
         assert {e.id for e in again.exemplars} == {"one", "ex-route"}
 
+    @pytest.mark.parametrize("ident", [7, "sub/dir-x", "../escape"])
+    def test_append_unsafe_id_writes_nothing(self, tmp_path, ident):
+        root = tmp_path / "kb"
+        self.write_kb(root)
+        before = sorted(tmp_path.rglob("*"))
+        kb = kn.load(root)
+        with pytest.raises(ValidationError):
+            kb.append_exemplar(kn.Exemplar(ident, "d", "", VALID_PROGRAM))
+        assert sorted(tmp_path.rglob("*")) == before
+        assert [e.id for e in kb.exemplars] == ["one"]
+
+    def test_load_rejects_id_not_matching_file(self, tmp_path):
+        self.write_kb(tmp_path)
+        (tmp_path / "exemplars" / "a.json").write_text(json.dumps({
+            "id": "b", "description": "d", "env_digest": "",
+            "program": VALID_PROGRAM}))
+        with pytest.raises(ValidationError) as exc:
+            kn.load(tmp_path)
+        assert "does not match the file name" in str(exc.value)
+
     def test_seed_kb_contents(self):
         kb = kn.load_seed_kb()
         assert len(kb.primitives) >= 3
@@ -261,6 +293,83 @@ class TestRetrieve:
         kb = kn.KnowledgeBase(exemplars=(twin_b, twin_a))
         ctx = kn.retrieve(kb, "identical words", 2)
         assert [e.id for e in ctx.exemplars] == ["a-twin", "b-twin"]
+
+
+def ranked_by_reference(kb, query, k):
+    """Top-k (ids, scores) by the list-count scorer, ties by id."""
+    exemplars = kb.exemplars
+    scores = helpers.list_count_bm25(
+        kn.tokenize(query), [kn.tokenize(e.document()) for e in exemplars])
+    order = sorted(range(len(exemplars)),
+                   key=lambda i: (-scores[i], exemplars[i].id))[:k]
+    return [exemplars[i].id for i in order], [scores[i] for i in order]
+
+
+class TestRetrieveMatchesReference:
+    """Cached term counts rank and score exactly as re-counting tokens."""
+
+    # Shared by descriptions and queries; program keywords are shared by
+    # every document, and "xylophone" by none.
+    VOCAB = ("road", "closed", "node", "vehicle", "route", "ban", "gate",
+             "quay", "yard", "6", "7", "agv", "4")
+    QUERY_ONLY = ("xylophone", "constraints", "forbid", "edge", "model")
+    PROGRAMS = tuple(e.program for e in THREE) + (VALID_PROGRAM,)
+
+    def random_base(self, rng, size):
+        ids = [f"ex-{n:03d}" for n in rng.sample(range(1000), size)]
+        exemplars = []
+        for ident in ids:
+            if exemplars and rng.random() < 0.2:  # same text, tied score
+                twin = rng.choice(exemplars)
+                exemplars.append(kn.Exemplar(ident, twin.description, "",
+                                             twin.program))
+                continue
+            words = rng.choices(self.VOCAB, k=rng.randint(1, 12))
+            exemplars.append(kn.Exemplar(ident, " ".join(words), "",
+                                         rng.choice(self.PROGRAMS)))
+        return exemplars
+
+    def random_query(self, rng):
+        pool = self.VOCAB + self.QUERY_ONLY
+        return " ".join(rng.choices(pool, k=rng.randint(1, 8)))
+
+    def assert_matches(self, kb, query, k):
+        ctx = kn.retrieve(kb, query, k)
+        ids, scores = ranked_by_reference(kb, query, k)
+        assert [e.id for e in ctx.exemplars] == ids
+        assert list(ctx.scores) == scores
+
+    def test_random_bases(self):
+        rng = random.Random(11)
+        for _ in range(60):
+            kb = kn.KnowledgeBase(
+                exemplars=self.random_base(rng, rng.randint(1, 40)))
+            for _ in range(8):
+                k = rng.choice((1, 3, len(kb.exemplars)))
+                self.assert_matches(kb, self.random_query(rng), k)
+        self.assert_matches(kb, "xylophone", len(kb.exemplars))
+
+    def test_append_to_base_and_snapshot(self):
+        rng = random.Random(12)
+        for round_ in range(20):
+            kb = kn.KnowledgeBase(
+                exemplars=self.random_base(rng, rng.randint(1, 20)))
+            queries = [self.random_query(rng) for _ in range(5)]
+            for query in queries:  # fill the per-exemplar caches first
+                self.assert_matches(kb, query, 3)
+            snap = kb.snapshot()
+            added, other = self.random_base(rng, 2)
+            added = kn.Exemplar(f"new-{round_}", added.description, "",
+                                added.program)
+            other = kn.Exemplar(f"other-{round_}", other.description, "",
+                                other.program)
+            kb.append_exemplar(added)
+            snap.append_exemplar(other)
+            assert added.id not in {e.id for e in snap.exemplars}
+            assert other.id not in {e.id for e in kb.exemplars}
+            for query in queries + [added.description]:
+                for base in (kb, snap):
+                    self.assert_matches(base, query, len(base.exemplars))
 
 
 class TestAccumulate:
