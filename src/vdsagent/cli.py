@@ -27,7 +27,7 @@ from .env import ScenarioSpec, TerminalEnv, parse_environment
 from .errors import ConfigError, VdsAgentError
 from .files import atomic_write
 from .knowledge import Exemplar, KnowledgeBase, load, load_seed_kb
-from .solver import SolveError, Solution, oracle_solve
+from .solver import SolveError, oracle_solve
 from .workflow import WorkflowConfig, run_transfer
 
 _DATA = Path(__file__).resolve().parent / "data"
@@ -68,38 +68,32 @@ def _load_kb(path: str | None) -> KnowledgeBase:
         raise ConfigError(str(exc)) from exc
 
 
-def _make_backend(spec: str) -> llm.Backend:
+def _mock_script(spec: str) -> dict[str, Any] | None:
+    """The script object named by `mock:<file>`; None for `http`."""
     if spec.startswith("mock:"):
         script_path = spec[len("mock:"):]
         script = _read_json(script_path, "mock script")
         if not isinstance(script, dict):
             raise ConfigError(f"mock script {script_path}: expected an object")
-        return llm.MockBackend(script)
+        return script
     if spec == "http":
-        return llm.HttpBackend.from_env()
+        return None
     raise ConfigError(
         f"unknown backend '{spec}' (expected mock:<script.json> or http)")
+
+
+def _make_backend(spec: str) -> llm.Backend:
+    script = _mock_script(spec)
+    if script is None:
+        return llm.HttpBackend.from_env()
+    return llm.MockBackend(script)
 
 
 def _make_provider(spec: str) -> BackendProvider:
-    if spec.startswith("mock:"):
-        script_path = spec[len("mock:"):]
-        script = _read_json(script_path, "mock script")
-        if not isinstance(script, dict):
-            raise ConfigError(f"mock script {script_path}: expected an object")
-        return scripted_provider(script)
-    if spec == "http":
+    script = _mock_script(spec)
+    if script is None:
         return shared_provider(llm.HttpBackend.from_env())
-    raise ConfigError(
-        f"unknown backend '{spec}' (expected mock:<script.json> or http)")
-
-
-def _solution_payload(solution: Solution) -> dict[str, Any]:
-    return {
-        "objective": solution.objective,
-        "paths": {v: list(p) for v, p in solution.paths.items()},
-        "costs": dict(solution.costs),
-    }
+    return scripted_provider(script)
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -123,8 +117,8 @@ def cmd_run(args: argparse.Namespace) -> int:
         print(f"objective: {outcome.solution.objective:g}")
         if args.out:
             atomic_write(args.out,
-                         json.dumps(_solution_payload(outcome.solution),
-                                    indent=2) + "\n")
+                         json.dumps(outcome.solution.to_dict(), indent=2)
+                         + "\n")
             print(f"solution: {args.out}")
     else:
         final = outcome.attempts[-1]
@@ -205,7 +199,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     print(f"objective: {solution.objective:g}")
     if args.out:
         atomic_write(args.out,
-                     json.dumps(_solution_payload(solution), indent=2) + "\n")
+                     json.dumps(solution.to_dict(), indent=2) + "\n")
     return 0
 
 

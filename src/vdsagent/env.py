@@ -8,6 +8,7 @@ the shape first, then cross-references, and produces immutable values.
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass, field
 from typing import Any, IO
@@ -69,10 +70,9 @@ class Network:
                 raise CrossReferenceError(f"edge references unknown node {e.source}")
             if e.target not in known:
                 raise CrossReferenceError(f"edge references unknown node {e.target}")
-            if e.length <= 0:
-                raise ValueError(
-                    f"edge ({e.source}, {e.target}) has non-positive length {e.length}"
-                )
+            if not (math.isfinite(e.length) and e.length > 0):
+                raise ValueError(f"edge ({e.source}, {e.target}) has length "
+                                 f"{e.length}; lengths must be finite and positive")
             key = (e.source, e.target)
             if key in seen:
                 raise SchemaError(f"duplicate directed edge ({e.source}, {e.target})")
@@ -261,11 +261,15 @@ def parse_network(text: str | IO[str]) -> Network:
     edges = []
     for i, item in enumerate(raw_edges):
         where = f"network.edges[{i}]"
-        edges.append(Edge(
+        edge = Edge(
             source=_require(item, "source", int, where),
             target=_require(item, "target", int, where),
             length=_require(item, "length", (int, float), where),
-        ))
+        )
+        if not (math.isfinite(edge.length) and edge.length > 0):
+            raise SchemaError(f"{where}.length: {edge.length} is not a "
+                              f"finite positive number")
+        edges.append(edge)
     return Network(nodes=tuple(nodes), edges=tuple(edges))
 
 

@@ -8,8 +8,9 @@ of the three fixed scenarios:
     forbidden_edge_vehicle AGV-4 barred from (5, 6) in both directions
     designated_route      task T3 must traverse the subpath 6 -> 10 -> 11
 
-ODs that would make a vehicle's constrained problem infeasible (or
-degenerate) are resampled, at most 100 draws per vehicle.
+Each drawn OD is checked by solving that vehicle alone under the
+`solver.scenario_constraints` record the oracle uses; ODs that make it
+infeasible (or degenerate) are resampled, at most 100 draws per vehicle.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ import random
 from .env import (Agv, FleetConfig, Requirements, ScenarioSpec, Task,
                   TerminalEnv, default_network, scenario_prompt)
 from .errors import InfeasibleGeneration, SchemaError
-from .solver import (PathRequirement, RoadGraph, SolveError, SolverInstance,
-                     VehicleProblem, solve)
+from .solver import (RoadGraph, SolveError, SolverInstance,
+                     scenario_constraints, solve)
 
 FLEET_SIZE = 30
 
@@ -42,27 +43,6 @@ def fixed_scenario(kind: str) -> ScenarioSpec:
     return _FIXED_SPECS[kind]
 
 
-def _vehicle_feasible(graph: RoadGraph, spec: ScenarioSpec, agv_id: str,
-                      task_id: str, od: tuple[int, int]) -> bool:
-    gone: set[tuple[int, int]] = set()
-    requirement = None
-    if spec.kind == "road_closure":
-        u, v = spec.edge
-        gone = {(u, v), (v, u)}
-    elif spec.kind == "forbidden_edge_vehicle" and agv_id == spec.vehicle:
-        u, v = spec.edge
-        gone = {(u, v), (v, u)}
-    elif spec.kind == "designated_route" and task_id == spec.task:
-        requirement = PathRequirement("subpath", spec.nodes)
-    problem = VehicleProblem(vehicle=agv_id, od=od, edges=graph.without(gone),
-                             requirement=requirement)
-    try:
-        solve(SolverInstance(vehicles=(problem,)))
-    except SolveError:
-        return False
-    return True
-
-
 def generate_instances(seed: int, kind: str, count: int,
                        level: str = "engineer") -> list[tuple[TerminalEnv, ScenarioSpec]]:
     """Generate `count` instances; pure function of its arguments."""
@@ -71,7 +51,9 @@ def generate_instances(seed: int, kind: str, count: int,
     spec = fixed_scenario(kind)
     network = default_network()
     node_ids = sorted(network.node_ids())
-    graph = RoadGraph(network.lengths())
+    constraints = scenario_constraints(
+        spec, {f"T{k}": f"AGV-{k}" for k in range(1, FLEET_SIZE + 1)})
+    common = RoadGraph(network.lengths()).without(constraints.removed)
     instances = []
     for i in range(count):
         rng = random.Random(f"{seed}:{kind}:{i}")
@@ -86,17 +68,17 @@ def generate_instances(seed: int, kind: str, count: int,
                 agv_attrs["over_height"] = True
             if kind == "designated_route" and task_id == spec.task:
                 task_attrs["dangerous_goods"] = True
-            od = None
             for _ in range(_MAX_DRAWS):
-                origin = rng.choice(node_ids)
-                destination = rng.choice(node_ids)
-                if origin == destination:
+                od = (rng.choice(node_ids), rng.choice(node_ids))
+                if od[0] == od[1]:
                     continue
-                if _vehicle_feasible(graph, spec, agv_id, task_id,
-                                     (origin, destination)):
-                    od = (origin, destination)
-                    break
-            if od is None:
+                problem = constraints.problem(common, agv_id, od)
+                try:
+                    solve(SolverInstance(vehicles=(problem,)))
+                except SolveError:
+                    continue
+                break
+            else:
                 raise InfeasibleGeneration(
                     f"no feasible OD for {agv_id} in {kind} instance {i}")
             agvs.append(Agv(id=agv_id, attributes=agv_attrs))

@@ -16,6 +16,7 @@ existing results, which retrieval here must never do.
 
 from __future__ import annotations
 
+import heapq
 import json
 import math
 import re
@@ -192,6 +193,8 @@ def load(path: str | Path) -> KnowledgeBase:
                 data = json.loads(jf.read_text(encoding="utf-8"))
             except json.JSONDecodeError as exc:
                 raise ValidationError(f"{jf.name}: invalid JSON ({exc})") from exc
+            if not isinstance(data, dict):
+                raise ValidationError(f"{jf.name}: expected a JSON object")
             for key in ("id", "description", "env_digest", "program"):
                 if not isinstance(data.get(key), str):
                     raise ValidationError(f"{jf.name}: needs string field '{key}'")
@@ -275,9 +278,8 @@ def retrieve(kb: KnowledgeBase, query: str, k: int) -> RetrievedContext:
         return RetrievedContext(primitives=primitives, exemplars=(), scores=())
     scores = _bm25_counted(tokenize(query),
                            [(e.term_counts, e.token_count) for e in exemplars])
-    order = sorted(range(len(exemplars)),
-                   key=lambda i: (-scores[i], exemplars[i].id))
-    top = order[:k]
+    top = heapq.nsmallest(k, range(len(exemplars)),
+                          key=lambda i: (-scores[i], exemplars[i].id))
     return RetrievedContext(
         primitives=primitives,
         exemplars=tuple(exemplars[i] for i in top),

@@ -238,10 +238,12 @@ class MockBackend:
     instance across runs.
     """
 
-    def __init__(self, script: Mapping[str, Sequence[ScriptEntry]]):
+    def __init__(self, script: Mapping[str, list[ScriptEntry]]):
         unknown = set(script) - set(ROLES)
         if unknown:
             raise ConfigError(f"mock script has unknown roles: {sorted(unknown)}")
+        if not all(isinstance(entries, list) for entries in script.values()):
+            raise ConfigError("mock script roles must map to lists of responses")
         self._script = {role: list(script.get(role, ())) for role in ROLES}
         self._consumed = {role: 0 for role in ROLES}
 

@@ -6,11 +6,12 @@ shortest-path solves.  Paths may revisit nodes but never reuse a
 directed edge; among equal-cost paths the lexicographically smallest
 node sequence wins, which makes every result deterministic.
 
-A network's links are indexed once, in a `RoadGraph`; each vehicle gets
-a view of it with that vehicle's removed links taken out.  A search runs
-Dijkstra from the target over reversed links until the source settles,
-then walks forward from the source, always to the smallest neighbour on
-a shortest route.
+`bind` (from a program) and `scenario_constraints` (from a scenario)
+fill one `Constraints` record, which alone builds vehicle problems.
+A network's links are indexed once, in a `RoadGraph`, and each vehicle
+gets a view without its removed links.  A search runs Dijkstra from the
+target over reversed links until the source settles, then walks forward
+from the source, always to the smallest neighbour on a shortest route.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import math
 import time
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Any, Iterable
 
 from . import dsl
 from .env import ScenarioSpec, TerminalEnv
@@ -130,10 +131,46 @@ class SolverInstance:
 
 
 @dataclass(frozen=True)
+class Constraints:
+    """Which links each vehicle loses and which route it must follow.
+
+    `removed` is closed to all vehicles, `removed_for[v]` to vehicle v
+    only, and `required[v]` is v's path requirement.
+    """
+
+    removed: Iterable[tuple[int, int]] = frozenset()
+    removed_for: Mapping[str, Iterable[tuple[int, int]]] = field(
+        default_factory=dict)
+    required: Mapping[str, PathRequirement] = field(default_factory=dict)
+
+    def problem(self, common: RoadGraph, vehicle: str,
+                od: tuple[int, int] | None) -> VehicleProblem:
+        """Vehicle's problem; `common` is the network minus `removed`."""
+        return VehicleProblem(
+            vehicle=vehicle, od=od,
+            edges=common.without(self.removed_for.get(vehicle, ())),
+            requirement=self.required.get(vehicle))
+
+    def instance(self, env: TerminalEnv) -> SolverInstance:
+        """Every vehicle of the fleet, in fleet order, on one shared graph."""
+        common = RoadGraph(env.network.lengths()).without(self.removed)
+        ods = {t.agv: (t.origin, t.destination) for t in env.fleet.tasks}
+        return SolverInstance(vehicles=tuple(
+            self.problem(common, a.id, ods.get(a.id))
+            for a in env.fleet.agvs))
+
+
+@dataclass(frozen=True)
 class Solution:
     paths: dict[str, tuple[int, ...]]
     costs: dict[str, float]
     objective: float
+
+    def to_dict(self) -> dict[str, Any]:
+        """JSON form: objective, then paths as lists, then costs."""
+        return {"objective": self.objective,
+                "paths": {v: list(p) for v, p in self.paths.items()},
+                "costs": dict(self.costs)}
 
 
 def shortest_path(edges: EdgeMap, source: int, target: int,
@@ -299,23 +336,21 @@ def _check_nodes(nodes: Iterable[int], known: frozenset[int]) -> None:
 def bind(ast: dsl.ModelAst, env: TerminalEnv) -> SolverInstance:
     """Ground a checked program against an environment.
 
-    Assumes static_check(ast) passed.  Statements apply in program order;
-    every vehicle in the environment appears in the result exactly once.
+    Assumes static_check(ast) passed.  Statements apply in program order
+    to one `Constraints` record, which covers every vehicle exactly once.
     A path requirement on a vehicle without a task is a bind_conflict.
     """
     known = env.network.node_ids()
-    removed_all: set[tuple[int, int]] = set()
+    removed: set[tuple[int, int]] = set()
     removed_for: dict[str, set[tuple[int, int]]] = {}
-    requirements: dict[str, PathRequirement] = {}
-    ods: dict[str, tuple[int, int] | None] = {a.id: None for a in env.fleet.agvs}
-    for task in env.fleet.tasks:
-        ods[task.agv] = (task.origin, task.destination)
+    required: dict[str, PathRequirement] = {}
+    ods = {t.agv: (t.origin, t.destination) for t in env.fleet.tasks}
     for stmt in ast.statements:
         if isinstance(stmt, dsl.FlowBalanceAll):
             continue
         if isinstance(stmt, dsl.RemoveEdge):
             _check_nodes((stmt.source, stmt.target), known)
-            removed_all.add((stmt.source, stmt.target))
+            removed.add((stmt.source, stmt.target))
         elif isinstance(stmt, dsl.ForbidEdge):
             _check_nodes((stmt.source, stmt.target), known)
             vehicle = _resolve_subject(stmt.subject, env)
@@ -324,12 +359,12 @@ def bind(ast: dsl.ModelAst, env: TerminalEnv) -> SolverInstance:
         else:
             _check_nodes(stmt.nodes, known)
             vehicle = _resolve_subject(stmt.subject, env)
-            if vehicle in requirements:
+            if vehicle in required:
                 raise SolveError(
                     "bind_conflict",
                     f"multiple path requirements bound to vehicle {vehicle}")
             kind = "exact" if isinstance(stmt, dsl.RequireExactPath) else "subpath"
-            od = ods[vehicle]
+            od = ods.get(vehicle)
             if od is None:
                 raise SolveError(
                     "bind_conflict",
@@ -341,49 +376,35 @@ def bind(ast: dsl.ModelAst, env: TerminalEnv) -> SolverInstance:
                     "bind_conflict",
                     f"exact path endpoints ({first}, {last}) "
                     f"do not match OD pair {od} of vehicle {vehicle}")
-            requirements[vehicle] = PathRequirement(kind, stmt.nodes)
-    common = RoadGraph(env.network.lengths()).without(removed_all)
-    problems = tuple(
-        VehicleProblem(vehicle=a.id, od=ods[a.id],
-                       edges=common.without(removed_for.get(a.id, ())),
-                       requirement=requirements.get(a.id))
-        for a in env.fleet.agvs
-    )
-    return SolverInstance(vehicles=problems)
+            required[vehicle] = PathRequirement(kind, stmt.nodes)
+    return Constraints(removed, removed_for, required).instance(env)
+
+
+def scenario_constraints(spec: ScenarioSpec,
+                         task_vehicle: Mapping[str, str]) -> Constraints:
+    """A scenario's constraints; closures and bans cover both directions.
+
+    `task_vehicle` maps task id -> vehicle id.  Reads no program.
+    """
+    if spec.kind == "designated_route":
+        return Constraints(required={
+            task_vehicle[spec.task]: PathRequirement("subpath", spec.nodes)})
+    both = frozenset({spec.edge, spec.edge[::-1]})
+    if spec.kind == "road_closure":
+        return Constraints(removed=both)
+    return Constraints(removed_for={spec.vehicle: both})
 
 
 def oracle_solve(env: TerminalEnv, spec: ScenarioSpec | None,
                  time_limit: float = DEFAULT_TIME_LIMIT) -> Solution:
     """Ground-truth solve built directly from a structured scenario.
 
-    Bypasses the language and bind entirely: the constraint set comes
+    Bypasses the language and bind entirely: the constraint record comes
     from the ScenarioSpec fields, then the same exact path algebra runs.
     """
+    constraints = Constraints()
     if spec is not None:
         spec.validate_against(env)
-    removed_all: set[tuple[int, int]] = set()
-    removed_for: dict[str, set[tuple[int, int]]] = {}
-    subpath_for: dict[str, tuple[int, ...]] = {}
-    if spec is not None:
-        if spec.kind == "road_closure":
-            u, v = spec.edge
-            removed_all = {(u, v), (v, u)}
-        elif spec.kind == "forbidden_edge_vehicle":
-            u, v = spec.edge
-            removed_for[spec.vehicle] = {(u, v), (v, u)}
-        else:
-            task = env.fleet.task_by_id(spec.task)
-            subpath_for[task.agv] = tuple(spec.nodes)
-    common = RoadGraph(env.network.lengths()).without(removed_all)
-    problems = []
-    for agv in env.fleet.agvs:
-        task = env.fleet.task_for(agv.id)
-        od = (task.origin, task.destination) if task else None
-        req = None
-        if agv.id in subpath_for:
-            req = PathRequirement("subpath", subpath_for[agv.id])
-        problems.append(VehicleProblem(
-            vehicle=agv.id, od=od,
-            edges=common.without(removed_for.get(agv.id, ())),
-            requirement=req))
-    return solve(SolverInstance(vehicles=tuple(problems)), time_limit)
+        constraints = scenario_constraints(
+            spec, {t.id: t.agv for t in env.fleet.tasks})
+    return solve(constraints.instance(env), time_limit)

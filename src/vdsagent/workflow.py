@@ -106,13 +106,6 @@ class TransferOutcome:
                 },
                 "wall_time": a.wall_time,
             })
-        solution = None
-        if self.solution is not None:
-            solution = {
-                "objective": self.solution.objective,
-                "paths": {v: list(p) for v, p in self.solution.paths.items()},
-                "costs": dict(self.solution.costs),
-            }
         retrieved = None
         if self.retrieved is not None:
             retrieved = {
@@ -124,7 +117,8 @@ class TransferOutcome:
             "status": self.status,
             "iterations": self.iterations,
             "final_program": self.final_program,
-            "solution": solution,
+            "solution": (None if self.solution is None
+                         else self.solution.to_dict()),
             "retrieved": retrieved,
             "accumulated": self.accumulated,
             "total_wall_time": self.total_wall_time,

@@ -55,6 +55,13 @@ class TestRun:
         assert "failed at stage: extract" in stdout
         assert len(json.loads(trace.read_text())["attempts"]) == 3
 
+    @pytest.mark.parametrize("responses", ("hello", 5))
+    def test_script_role_not_a_list_exits_two(self, script_path, capsys,
+                                              responses):
+        script = script_path("bad.json", {"coder": responses})
+        assert main(["run", "--llm", f"mock:{script}"]) == 2
+        assert "must map to lists" in capsys.readouterr().err
+
     def test_no_self_correction_flag(self, script_path, capsys):
         script = script_path("stubborn.json", inj.stubborn_script())
         code = main(["run", "--llm", f"mock:{script}", "--no-self-correction"])
@@ -224,6 +231,14 @@ class TestOracle:
         err = capsys.readouterr().err
         assert "AGV-1" in err and "infeasible" in err
 
+    @pytest.mark.parametrize("length", ("0", "NaN", "Infinity"))
+    def test_bad_edge_length_exits_two(self, tmp_path, capsys, length):
+        net = tmp_path / "net.json"
+        net.write_text('{"nodes": [{"id": 0}, {"id": 1}], "edges": '
+                       '[{"source": 0, "target": 1, "length": %s}]}' % length)
+        assert main(["oracle", "--net", str(net)]) == 2
+        assert "network.edges[0].length" in capsys.readouterr().err
+
     def test_scenario_unknown_node(self, tmp_path, capsys):
         scenario = tmp_path / "scenario.json"
         scenario.write_text(json.dumps(
@@ -245,6 +260,12 @@ class TestKb:
         assert "primitive route-variables [variable_definition]" in stdout
         assert "exemplar classic-dispatch:" in stdout
         assert "total: 5 primitives, 1 exemplars" in stdout
+
+    def test_list_non_object_exemplar_exits_two(self, tmp_path, capsys):
+        root = self.make_kb_dir(tmp_path)
+        (root / "exemplars" / "bad.json").write_text("[1]")
+        assert main(["kb", "list", "--kb", str(root)]) == 2
+        assert "bad.json" in capsys.readouterr().err
 
     def make_kb_dir(self, tmp_path):
         root = tmp_path / "kb"

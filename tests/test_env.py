@@ -171,6 +171,21 @@ class TestParsing:
             parse_network('{"nodes": [{"id": 0}], '
                           '"edges": [{"source": 0, "target": 0}]}')
 
+    @pytest.mark.parametrize("length", (0, -3, float("nan"), float("inf"),
+                                        float("-inf")))
+    def test_parse_network_rejects_bad_length(self, length):
+        doc = {"nodes": [{"id": 0}, {"id": 1}],
+               "edges": [{"source": 0, "target": 1, "length": 1},
+                         {"source": 1, "target": 0, "length": length}]}
+        with pytest.raises(SchemaError) as exc:
+            parse_network(json.dumps(doc))
+        assert "network.edges[1].length" in str(exc.value)
+
+    @pytest.mark.parametrize("length", (float("nan"), float("inf")))
+    def test_network_rejects_non_finite_length(self, length):
+        with pytest.raises(ValueError):
+            Network(nodes=(Node(0), Node(1)), edges=(Edge(0, 1, length),))
+
     def test_parse_network_rejects_bool_id(self):
         doc = {"nodes": [{"id": True}], "edges": []}
         with pytest.raises(SchemaError):

@@ -151,6 +151,13 @@ class TestLoadAndPersist:
         assert [e.id for e in kb.exemplars] == ["one"]
         assert kb.root == tmp_path
 
+    def test_load_rejects_non_object_exemplar(self, tmp_path):
+        self.write_kb(tmp_path)
+        (tmp_path / "exemplars" / "two.json").write_text("[1]")
+        with pytest.raises(ValidationError) as exc:
+            kn.load(tmp_path)
+        assert "two.json" in str(exc.value)
+
     def test_load_missing_dir(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             kn.load(tmp_path / "nope")

@@ -141,6 +141,12 @@ class TestMockBackend:
         with pytest.raises(ConfigError):
             llm.MockBackend({"oracle": ["x"]})
 
+    # a string is a sequence, but not a list of responses
+    @pytest.mark.parametrize("responses", ("hello", 5))
+    def test_role_not_mapped_to_list(self, responses):
+        with pytest.raises(ConfigError):
+            llm.MockBackend({"coder": responses})
+
     def test_conditional_entry(self):
         mock = llm.MockBackend({"coder": [
             {"if_contains": "closed", "then": "A", "else": "B"}]})

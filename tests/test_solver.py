@@ -7,8 +7,10 @@ from helpers import (grid_edges, min_simple_path, min_walk, path_cost,
                      path_heap_dijkstra)
 from vdsagent import dsl
 from vdsagent import solver as sv
-from vdsagent.env import (Agv, FleetConfig, Network, Node, Edge, Requirements,
-                          ScenarioSpec, Task, TerminalEnv, default_network)
+from vdsagent.env import (SCENARIO_KINDS, Agv, FleetConfig, Network, Node, Edge,
+                          Requirements, ScenarioSpec, Task, TerminalEnv,
+                          default_network)
+from vdsagent.injection import CORRECT_PROGRAMS
 from vdsagent.instances import fixed_scenario, generate_instances
 
 
@@ -423,3 +425,49 @@ class TestOracleSolve:
             assert spec == fixed_scenario(kind)
             solution = sv.oracle_solve(env, spec)
             assert solution.objective == sum(solution.costs.values())
+
+
+class TestConstraints:
+    @pytest.mark.parametrize("kind", SCENARIO_KINDS)
+    @pytest.mark.parametrize("seed", (3, 42))
+    def test_bind_and_scenario_constraints_agree(self, kind, seed):
+        ast = dsl.parse(CORRECT_PROGRAMS[kind])
+        for env, spec in generate_instances(seed, kind, 6):
+            tasks = {t.id: t.agv for t in env.fleet.tasks}
+            expected = sv.scenario_constraints(spec, tasks).instance(env)
+            assert sv.bind(ast, env) == expected
+
+    def test_scenario_closures_cover_both_directions(self):
+        closure = sv.scenario_constraints(
+            ScenarioSpec("road_closure", edge=(6, 7)), {})
+        assert set(closure.removed) == {(6, 7), (7, 6)}
+        banned = sv.scenario_constraints(
+            ScenarioSpec("forbidden_edge_vehicle", vehicle="A", edge=(5, 6)),
+            {})
+        assert set(banned.removed_for["A"]) == {(5, 6), (6, 5)}
+        route = sv.scenario_constraints(
+            ScenarioSpec("designated_route", task="T2", nodes=(6, 10, 11)),
+            {"T1": "A", "T2": "B"})
+        assert route.required == {
+            "B": sv.PathRequirement("subpath", (6, 10, 11))}
+
+    def test_problem_and_instance(self):
+        env = grid_env([("A", "T1", 0, 14), ("B", "T2", 5, 7)])
+        env = TerminalEnv(
+            network=env.network,
+            fleet=FleetConfig(agvs=env.fleet.agvs + (Agv("C"),),
+                              tasks=env.fleet.tasks),
+            requirements=env.requirements)
+        requirement = sv.PathRequirement("subpath", (6, 10, 11))
+        constraints = sv.Constraints(removed={(6, 7)},
+                                     removed_for={"B": {(5, 6)}},
+                                     required={"A": requirement})
+        instance = constraints.instance(env)
+        assert [vp.vehicle for vp in instance.vehicles] == ["A", "B", "C"]
+        a, b, c = instance.vehicles
+        assert (a.od, b.od, c.od) == ((0, 14), (5, 7), None)
+        assert (6, 7) not in a.edges and (7, 6) in a.edges
+        assert (5, 6) in a.edges and (5, 6) not in b.edges
+        assert (a.requirement, b.requirement) == (requirement, None)
+        common = sv.RoadGraph(env.network.lengths()).without({(6, 7)})
+        assert constraints.problem(common, "B", (5, 7)) == b
