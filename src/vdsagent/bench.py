@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -20,11 +21,11 @@ from typing import Any, Callable
 from .env import (EXPERTISE_LEVELS, SCENARIO_KINDS, ScenarioSpec,
                   TerminalEnv)
 from .errors import ConfigError, VdsAgentError
-from .injection import resolve_run_script
+from .injection import instance_id, resolve_run_script
 from .instances import generate_instances, with_level
 from .knowledge import KnowledgeBase, accumulate
 from .llm import Backend, MockBackend
-from .solver import oracle_solve
+from .solver import DEFAULT_TIME_LIMIT, oracle_solve
 from .stats import DegenerateInput, DegenerateTable, anova_test, chi_squared_test
 from .workflow import (TransferOutcome, WorkflowConfig, is_executed,
                        run_transfer)
@@ -37,7 +38,6 @@ _ABLATION_LABELS = {"none": "full", "no-rag": "w/o RAG",
                     "no-self-correction": "w/o self-correction"}
 
 SYNTAX_STAGES = ("extract", "parse", "static")
-RUNTIME_STAGES = ("bind", "solve")
 
 
 class EmptyInputError(VdsAgentError):
@@ -50,10 +50,10 @@ class SuiteConfig:
     scenarios: tuple[str, ...] = SCENARIO_KINDS
     levels: tuple[str, ...] = EXPERTISE_LEVELS
     instances_per_scenario: int = 5
-    k_shot: int = 1
-    max_iterations: int = 3
+    k_shot: int = WorkflowConfig.k_shot
+    max_iterations: int = WorkflowConfig.max_iterations
     tolerance: float = 1e-4
-    solve_time_limit: float = 300.0
+    solve_time_limit: float = DEFAULT_TIME_LIMIT
     ablation: str = "none"
     learn_during_run: bool = False
     accumulate_policy: str = "agent"  # agent | oracle | none
@@ -75,14 +75,9 @@ class SuiteConfig:
                 raise ConfigError(f"{name} must be a number")
         if self.instances_per_scenario < 1:
             raise ConfigError("instances_per_scenario must be >= 1")
-        if self.k_shot < 0:
-            raise ConfigError("k_shot must be >= 0")
-        if self.max_iterations < 1:
-            raise ConfigError("max_iterations must be >= 1")
-        if self.tolerance < 0:
-            raise ConfigError("tolerance must be >= 0")
-        if self.solve_time_limit <= 0:
-            raise ConfigError("solve_time_limit must be positive")
+        if not 0 <= self.tolerance < math.inf:
+            raise ConfigError("tolerance must be finite and >= 0")
+        self.workflow_config().validate()
         for kind in self.scenarios:
             if kind not in SCENARIO_KINDS:
                 raise ConfigError(f"unknown scenario kind '{kind}'")
@@ -276,7 +271,7 @@ def run_benchmark(suite: SuiteConfig, kb: KnowledgeBase,
             oracle = oracle_solve(base_env, spec, suite.solve_time_limit)
             for level in suite.levels:
                 env = with_level(base_env, spec, level)
-                iid = f"{kind}-{index:02d}-{level}"
+                iid = instance_id(kind, index, level)
                 backend = provider(iid, env, spec)
                 outcome = run_transfer(env, retrieval_kb, wf_config, backend)
                 result = evaluate_instance(

@@ -27,7 +27,7 @@ from .env import ScenarioSpec, TerminalEnv, parse_environment
 from .errors import ConfigError, VdsAgentError
 from .files import atomic_write
 from .knowledge import Exemplar, KnowledgeBase, load, load_seed_kb
-from .solver import SolveError, oracle_solve
+from .solver import DEFAULT_TIME_LIMIT, SolveError, oracle_solve
 from .workflow import WorkflowConfig, run_transfer
 
 _DATA = Path(__file__).resolve().parent / "data"
@@ -245,6 +245,10 @@ def _add_env_flags(parser: argparse.ArgumentParser) -> None:
                         help="requirements JSON (default: packaged sample)")
 
 
+_TIME_LIMIT_HELP = ("solver time limit in seconds, > 0, inf for none "
+                    "(default %(default)s)")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="vdsagent",
@@ -257,16 +261,17 @@ def build_parser() -> argparse.ArgumentParser:
                                     "(default: packaged seed)")
     p_run.add_argument("--llm", required=True,
                        help="backend: mock:<script.json> or http")
-    p_run.add_argument("--kshot", type=int, default=1,
-                       help="exemplars to retrieve (default 1)")
-    p_run.add_argument("--max-iter", type=int, default=3,
-                       help="self-correction budget (default 3)")
+    p_run.add_argument("--kshot", type=int, default=WorkflowConfig.k_shot,
+                       help="exemplars to retrieve (default %(default)s)")
+    p_run.add_argument("--max-iter", type=int,
+                       default=WorkflowConfig.max_iterations,
+                       help="self-correction budget (default %(default)s)")
     p_run.add_argument("--no-rag", action="store_true",
                        help="drop retrieved knowledge from prompts")
     p_run.add_argument("--no-self-correction", action="store_true",
                        help="stop after the first failed attempt")
-    p_run.add_argument("--time-limit", type=float, default=300.0,
-                       help="solver time limit in seconds (default 300)")
+    p_run.add_argument("--time-limit", type=float, default=DEFAULT_TIME_LIMIT,
+                       help=_TIME_LIMIT_HELP)
     p_run.add_argument("--token-budget", type=int,
                        default=llm.DEFAULT_TOKEN_BUDGET,
                        help="prompt token budget")
@@ -295,7 +300,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_env_flags(p_oracle)
     p_oracle.add_argument("--scenario",
                           help="scenario spec JSON ({} or omitted: none)")
-    p_oracle.add_argument("--time-limit", type=float, default=300.0)
+    p_oracle.add_argument("--time-limit", type=float,
+                          default=DEFAULT_TIME_LIMIT, help=_TIME_LIMIT_HELP)
     p_oracle.add_argument("--out", help="write the solution JSON here")
     p_oracle.set_defaults(func=cmd_oracle)
 

@@ -124,12 +124,6 @@ class FleetConfig:
                 raise SchemaError(f"agv {t.agv} carries more than one task")
             assigned.add(t.agv)
 
-    def task_for(self, agv_id: str) -> Task | None:
-        for t in self.tasks:
-            if t.agv == agv_id:
-                return t
-        return None
-
     def task_by_id(self, task_id: str) -> Task | None:
         for t in self.tasks:
             if t.id == task_id:

@@ -9,10 +9,8 @@ renders as '(none)' rather than disappearing.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Any, Callable, Mapping, Protocol, Sequence
 
 from . import dsl
@@ -247,16 +245,6 @@ class MockBackend:
         self._script = {role: list(script.get(role, ())) for role in ROLES}
         self._consumed = {role: 0 for role in ROLES}
 
-    @classmethod
-    def from_file(cls, path: str | Path) -> "MockBackend":
-        try:
-            data = json.loads(Path(path).read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"mock script {path}: invalid JSON ({exc})") from exc
-        if not isinstance(data, dict):
-            raise ConfigError(f"mock script {path}: expected an object")
-        return cls(data)
-
     def complete(self, bundle: PromptBundle) -> str:
         queue = self._script[bundle.role]
         index = self._consumed[bundle.role]
@@ -334,18 +322,14 @@ def complete(backend: Backend, bundle: PromptBundle) -> str:
     and do not count as workflow iterations.  Empty completions are
     format errors.
     """
-    last: TransportError | None = None
     for attempt in range(_RETRIES + 1):
         try:
             text = backend.complete(bundle)
             break
-        except TransportError as exc:
-            last = exc
+        except TransportError:
             if attempt == _RETRIES:
                 raise
             _sleep(_RETRY_BACKOFF_S)
-    else:  # pragma: no cover - loop always breaks or raises
-        raise last
     if not isinstance(text, str):
         raise FormatError("backend returned a non-string completion")
     if not text.strip():

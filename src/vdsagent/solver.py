@@ -26,9 +26,16 @@ from typing import Any, Iterable
 
 from . import dsl
 from .env import ScenarioSpec, TerminalEnv
-from .errors import VdsAgentError
+from .errors import ConfigError, VdsAgentError
 
 DEFAULT_TIME_LIMIT = 300.0
+
+
+def check_time_limit(time_limit: float) -> None:
+    """A time limit is seconds > 0; inf means none.  NaN is rejected."""
+    if not time_limit > 0:
+        raise ConfigError(f"time limit must be > 0 seconds, got {time_limit}")
+
 
 # A search reads the clock once per this many heap pops.
 CLOCK_EVERY = 256
@@ -294,6 +301,7 @@ def solve(instance: SolverInstance,
 
     The time limit holds between vehicles and inside each search.
     """
+    check_time_limit(time_limit)
     deadline = _now() + time_limit
     paths: dict[str, tuple[int, ...]] = {}
     costs: dict[str, float] = {}

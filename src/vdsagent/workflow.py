@@ -23,8 +23,6 @@ from .errors import ConfigError
 from .files import atomic_write
 from .knowledge import KnowledgeBase, RetrievedContext, accumulate, retrieve
 
-STAGES = ("extract", "parse", "static", "bind", "solve", "solved")
-
 
 @dataclass
 class WorkflowConfig:
@@ -34,7 +32,6 @@ class WorkflowConfig:
     use_self_correction: bool = True
     solve_time_limit: float = solver.DEFAULT_TIME_LIMIT
     accumulate_on_success: bool = True
-    rerun_modeler: bool = True
     token_budget: int = llm.DEFAULT_TOKEN_BUDGET
 
     def validate(self) -> None:
@@ -42,8 +39,7 @@ class WorkflowConfig:
             raise ConfigError("max_iterations must be >= 1")
         if self.k_shot < 0:
             raise ConfigError("k_shot must be >= 0")
-        if self.solve_time_limit <= 0:
-            raise ConfigError("solve_time_limit must be positive")
+        solver.check_time_limit(self.solve_time_limit)
         if self.token_budget <= 0:
             raise ConfigError("token_budget must be positive")
 
@@ -82,30 +78,6 @@ class TransferOutcome:
         return len(self.attempts)
 
     def to_dict(self) -> dict[str, Any]:
-        def bundle(b: llm.PromptBundle | None) -> dict[str, str] | None:
-            if b is None:
-                return None
-            return {"role": b.role, "system": b.system, "user": b.user}
-
-        attempts = []
-        for a in self.attempts:
-            attempts.append({
-                "index": a.index,
-                "stage_reached": a.stage_reached,
-                "modeler_prompt": bundle(a.modeler_prompt),
-                "modeler_scheme": a.modeler_scheme,
-                "coder_prompt": bundle(a.coder_prompt),
-                "coder_output": a.coder_output,
-                "extracted_program": a.extracted_program,
-                "error": a.error,
-                "debugger_prompt": bundle(a.debugger_prompt),
-                "debugger_output": a.debugger_output,
-                "reflection": None if a.reflection is None else {
-                    "diagnosis": a.reflection.diagnosis,
-                    "correction": a.reflection.correction,
-                },
-                "wall_time": a.wall_time,
-            })
         retrieved = None
         if self.retrieved is not None:
             retrieved = {
@@ -122,23 +94,17 @@ class TransferOutcome:
             "retrieved": retrieved,
             "accumulated": self.accumulated,
             "total_wall_time": self.total_wall_time,
-            "attempts": attempts,
+            "attempts": [dataclasses.asdict(a) for a in self.attempts],
         }
 
     def write_trace(self, path: str | Path) -> None:
         atomic_write(path, json.dumps(self.to_dict(), indent=2) + "\n")
 
 
-def classify_stage_error(stage_reached: str) -> bool:
-    """True when a final attempt at this stage counts as executed."""
-    if stage_reached not in STAGES:
-        raise ValueError(f"unknown stage '{stage_reached}'")
-    return stage_reached == "solved"
-
-
 def is_executed(outcome: TransferOutcome) -> bool:
+    """True when the final attempt solved."""
     return bool(outcome.attempts) and \
-        classify_stage_error(outcome.attempts[-1].stage_reached)
+        outcome.attempts[-1].stage_reached == "solved"
 
 
 def _attempt_pipeline(coder_output: str, env: TerminalEnv,
@@ -197,21 +163,17 @@ def run_transfer(env: TerminalEnv, kb: KnowledgeBase,
         retrieved = retrieve(kb, query, config.k_shot)
     outcome = TransferOutcome(status="exhausted", retrieved=retrieved)
     corrections: list[str] = []
-    scheme: str | None = None
-    modeler_prompt: llm.PromptBundle | None = None
     for index in range(1, config.effective_max_iterations() + 1):
         attempt_start = time.monotonic()
         record = AttemptRecord(index=index, stage_reached="extract")
         base_ctx = llm.PromptContext(
             env_digest=digest, requirements=requirements,
             retrieved=retrieved, corrections=tuple(corrections))
-        if config.rerun_modeler or scheme is None:
-            modeler_prompt = llm.render_prompt("modeler", base_ctx,
-                                               config.token_budget)
-            scheme = llm.complete(backend, modeler_prompt)
-        record.modeler_prompt = modeler_prompt
-        record.modeler_scheme = scheme
-        coder_ctx = dataclasses.replace(base_ctx, scheme=scheme)
+        record.modeler_prompt = llm.render_prompt("modeler", base_ctx,
+                                                  config.token_budget)
+        record.modeler_scheme = llm.complete(backend, record.modeler_prompt)
+        coder_ctx = dataclasses.replace(base_ctx,
+                                        scheme=record.modeler_scheme)
         record.coder_prompt = llm.render_prompt("coder", coder_ctx,
                                                 config.token_budget)
         record.coder_output = llm.complete(backend, record.coder_prompt)
@@ -227,7 +189,7 @@ def run_transfer(env: TerminalEnv, kb: KnowledgeBase,
                            description=" ".join(requirements))
                 outcome.accumulated = True
             break
-        if config.use_self_correction and index < config.effective_max_iterations():
+        if index < config.effective_max_iterations():
             debug_ctx = llm.PromptContext(
                 env_digest=digest, requirements=requirements,
                 corrections=tuple(corrections),

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 
 import pytest
@@ -155,6 +156,8 @@ class TestSuiteConfig:
         {"seed": 1.5},
         {"tolerance": -1e-4},
         {"solve_time_limit": 0},
+        {"tolerance": math.nan},
+        {"solve_time_limit": math.nan},
     ])
     def test_validate_rejects(self, kwargs):
         with pytest.raises(ConfigError):

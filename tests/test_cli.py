@@ -86,6 +86,17 @@ class TestRun:
         assert main(["run", "--llm", f"mock:{bad}"]) == 2
         assert "invalid JSON" in capsys.readouterr().err
 
+    def test_mock_script_not_object(self, script_path, capsys):
+        script = script_path("list.json", [1, 2])
+        assert main(["run", "--llm", f"mock:{script}"]) == 2
+        assert "expected an object" in capsys.readouterr().err
+
+    def test_nan_time_limit_exits_two(self, script_path, capsys):
+        script = script_path("golden.json", golden_flat())
+        code = main(["run", "--llm", f"mock:{script}", "--time-limit", "nan"])
+        assert code == 2
+        assert "time limit" in capsys.readouterr().err
+
 
 class TestBench:
     def test_fault_suite_artifacts(self, tmp_path, script_path, capsys):
@@ -171,6 +182,17 @@ class TestBench:
         assert code == 2
         assert "expected a list" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ("tolerance", "solve_time_limit"))
+    def test_suite_file_nan_exits_two(self, tmp_path, capsys, key):
+        suite = tmp_path / "suite.json"
+        suite.write_text('{"instances_per_scenario": 1, "%s": NaN}' % key)
+        script = tmp_path / "golden.json"
+        script.write_text(json.dumps(inj.golden_script()))
+        code = main(["bench", "--suite", str(suite), "--llm", f"mock:{script}",
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert not (tmp_path / "out" / "report.json").exists()
+
 
 class TestOracle:
     def test_unconstrained_objective(self, capsys):
@@ -251,6 +273,12 @@ class TestOracle:
         scenario = tmp_path / "scenario.json"
         scenario.write_text("[1, 2]")
         assert main(["oracle", "--scenario", str(scenario)]) == 2
+
+    @pytest.mark.parametrize("limit", ("-1", "0", "nan"))
+    def test_bad_time_limit_exits_two(self, capsys, limit):
+        assert main(["oracle", "--time-limit", limit]) == 2
+        err = capsys.readouterr().err
+        assert "time limit must be > 0" in err and "timeout" not in err
 
 
 class TestKb:

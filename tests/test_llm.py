@@ -1,5 +1,3 @@
-import json
-
 import pytest
 import requests
 
@@ -164,24 +162,6 @@ class TestMockBackend:
         mock = llm.MockBackend({"coder": [{"then": "A"}]})
         with pytest.raises(ConfigError):
             mock.complete(bundle_for("coder"))
-
-    def test_from_file(self, tmp_path):
-        path = tmp_path / "script.json"
-        path.write_text(json.dumps({"modeler": ["from disk"]}))
-        mock = llm.MockBackend.from_file(path)
-        assert mock.complete(bundle_for("modeler")) == "from disk"
-
-    def test_from_file_bad_json(self, tmp_path):
-        path = tmp_path / "script.json"
-        path.write_text("{nope")
-        with pytest.raises(ConfigError):
-            llm.MockBackend.from_file(path)
-
-    def test_from_file_not_object(self, tmp_path):
-        path = tmp_path / "script.json"
-        path.write_text("[1, 2]")
-        with pytest.raises(ConfigError):
-            llm.MockBackend.from_file(path)
 
 
 class FakeResponse:

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from vdsagent import solver as sv
 from vdsagent.env import (SCENARIO_KINDS, Agv, FleetConfig, Network, Node, Edge,
                           Requirements, ScenarioSpec, Task, TerminalEnv,
                           default_network)
+from vdsagent.errors import ConfigError
 from vdsagent.injection import CORRECT_PROGRAMS
 from vdsagent.instances import fixed_scenario, generate_instances
 
@@ -248,6 +250,17 @@ class TestSolve:
             single(sv.VehicleProblem("v", (0, 40 * 40 - 1), grid_edges(40)))
         assert exc.value.kind == "timeout"
         assert len(reads) == 3
+
+    @pytest.mark.parametrize("limit", (0.0, -1.0, math.nan))
+    def test_bad_time_limit_rejected(self, grid_lengths, limit):
+        problem = sv.VehicleProblem("v", (0, 4), grid_lengths)
+        with pytest.raises(ConfigError):
+            sv.solve(sv.SolverInstance(vehicles=(problem,)), limit)
+
+    def test_infinite_time_limit_means_none(self, grid_lengths):
+        problem = sv.VehicleProblem("v", (0, 4), grid_lengths)
+        assert sv.solve(sv.SolverInstance(vehicles=(problem,)), math.inf) == \
+            sv.solve(sv.SolverInstance(vehicles=(problem,)))
 
     def test_subpath_relaxation_property(self, grid_lengths):
         rng = random.Random(3)

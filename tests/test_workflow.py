@@ -120,23 +120,14 @@ class TestExhaustion:
 
 
 class TestModelerReuse:
-    def test_rerun_modeler_false_calls_once(self, closure_instance, seed_kb):
-        env, _ = closure_instance
-        script = dict(inj.recovery_script())
-        script["modeler"] = script["modeler"][:1]  # a rerun would exhaust
-        outcome = run(env, seed_kb, script, rerun_modeler=False)
-        assert outcome.status == "solved"
-        assert outcome.iterations == 2
-        assert outcome.attempts[0].modeler_scheme == \
-            outcome.attempts[1].modeler_scheme
-
     def test_rerun_modeler_true_consumes_per_attempt(self, closure_instance,
                                                      seed_kb):
+        # the modeler runs on every attempt, so one scheme cannot cover two
         env, _ = closure_instance
         script = dict(inj.recovery_script())
         script["modeler"] = script["modeler"][:1]
         with pytest.raises(llm.BackendExhausted):
-            run(env, seed_kb, script, rerun_modeler=True)
+            run(env, seed_kb, script)
 
 
 class TestAccumulation:
@@ -215,13 +206,6 @@ class TestStageClassification:
         assert outcome.attempts[0].stage_reached == "solve"
         assert "infeasible" in outcome.attempts[0].error
 
-    def test_classify_stage_error(self):
-        assert wf.classify_stage_error("solved") is True
-        for stage in ("extract", "parse", "static", "bind", "solve"):
-            assert wf.classify_stage_error(stage) is False
-        with pytest.raises(ValueError):
-            wf.classify_stage_error("oracle")
-
     def test_is_executed_empty_outcome(self):
         assert not wf.is_executed(wf.TransferOutcome(status="exhausted"))
 
@@ -249,6 +233,7 @@ class TestConfigValidation:
         {"k_shot": -1},
         {"solve_time_limit": 0.0},
         {"token_budget": 0},
+        {"solve_time_limit": float("nan")},
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ConfigError):
