@@ -217,7 +217,11 @@ class _Parser:
         tok = self.next()
         if tok.type != "int":
             raise self.fail("expected an integer", tok)
-        return int(tok.value)
+        try:
+            return int(tok.value)
+        except ValueError:  # past the interpreter's int-from-string limit
+            raise DslError("parse", f"integer literal of {len(tok.value)} "
+                           f"digits is too long", tok.line, tok.column) from None
 
     def expect_string(self) -> str:
         tok = self.next()

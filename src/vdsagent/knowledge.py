@@ -3,10 +3,10 @@
 Primitives are markdown files with YAML front-matter (id, category,
 title); exemplars are one-JSON-file-per-entry so accumulated knowledge
 stays reviewable.  Retrieval is lexical BM25 (k1=1.2, b=0.75) over the
-lowercased, punctuation-split text of description + program.  Each
-exemplar tokenizes its text once and caches its term counts and token
-count, so a retrieval costs one pass over the exemplars' term keys, not
-one re-tokenization of the whole base.
+lowercased, punctuation-split text of description + program.  A base
+keeps an inverted index (term -> exemplars and occurrences), built on
+its first retrieval and extended by appends, so a query reads only the
+postings of its own terms (Zobel & Moffat 2006).
 
 BM25 statistics (N, document frequency, average length) are computed
 over the matching subset only (documents sharing at least one query
@@ -43,6 +43,9 @@ _TOKEN_RE = re.compile(r"[a-z0-9]+")
 # Exemplar ids name their file, so they must be a plain file stem.
 _EXEMPLAR_ID_RE = re.compile(r"[A-Za-z0-9][A-Za-z0-9._-]*")
 
+# term -> (ascending document indexes, occurrences), and document lengths
+Index = tuple[dict[str, tuple[list[int], list[int]]], list[int]]
+
 
 def tokenize(text: str) -> list[str]:
     return _TOKEN_RE.findall(text.lower())
@@ -76,10 +79,6 @@ class Exemplar:
         """Occurrences of each token of `document()`, computed once."""
         return Counter(tokenize(self.document()))
 
-    @cached_property
-    def token_count(self) -> int:
-        return sum(self.term_counts.values())
-
 
 @dataclass(frozen=True)
 class RetrievedContext:
@@ -109,7 +108,7 @@ def validate_exemplar(ex: Exemplar) -> None:
 
 
 class KnowledgeBase:
-    """Append-only store.  Single writer; reads are safe to share."""
+    """Append-only store.  Single writer; reads may overlap reads only."""
 
     def __init__(self, primitives: Sequence[Primitive] = (),
                  exemplars: Sequence[Exemplar] = (),
@@ -120,9 +119,10 @@ class KnowledgeBase:
         ids = [p.id for p in self._primitives]
         if len(set(ids)) != len(ids):
             raise ValidationError("duplicate primitive ids")
-        ids = [e.id for e in self._exemplars]
-        if len(set(ids)) != len(ids):
+        self._ids = {e.id for e in self._exemplars}
+        if len(self._ids) != len(self._exemplars):
             raise ValidationError("duplicate exemplar ids")
+        self._index: Index | None = None  # built by the first retrieval
 
     @property
     def primitives(self) -> tuple[Primitive, ...]:
@@ -138,9 +138,12 @@ class KnowledgeBase:
 
     def append_exemplar(self, ex: Exemplar) -> None:
         validate_exemplar(ex)
-        if any(e.id == ex.id for e in self._exemplars):
+        if ex.id in self._ids:
             raise ValidationError(f"exemplar id {ex.id} already present")
         self._exemplars.append(ex)
+        self._ids.add(ex.id)
+        if self._index is not None:
+            _index_document(self._index, ex.term_counts)
         if self.root is not None:
             payload = {"id": ex.id, "description": ex.description,
                        "env_digest": ex.env_digest, "program": ex.program}
@@ -148,11 +151,19 @@ class KnowledgeBase:
                          json.dumps(payload, indent=2) + "\n")
 
     def next_exemplar_id(self, prefix: str = "acc") -> str:
-        existing = {e.id for e in self._exemplars}
         n = len(self._exemplars) + 1
-        while f"{prefix}-{n:04d}" in existing:
+        while f"{prefix}-{n:04d}" in self._ids:
             n += 1
         return f"{prefix}-{n:04d}"
+
+    def bm25_scores(self, query_terms: Sequence[str]) -> list[float]:
+        """`bm25_scores` of every exemplar, in store order."""
+        if self._index is None:
+            index: Index = ({}, [])
+            for ex in self._exemplars:
+                _index_document(index, ex.term_counts)
+            self._index = index  # published whole: readers see no partial one
+        return _bm25_indexed(query_terms, self._index)
 
 
 def _parse_front_matter(text: str, where: str) -> tuple[dict[str, Any], str]:
@@ -227,38 +238,44 @@ def bm25_scores(query_terms: list[str], documents: list[list[str]]) -> list[floa
     documents that share at least one query term; zero-overlap documents
     score 0 and cannot influence the others.
     """
-    return _bm25_counted(query_terms,
-                         [(Counter(doc), len(doc)) for doc in documents])
+    index: Index = ({}, [])
+    for doc in documents:
+        _index_document(index, Counter(doc))
+    return _bm25_indexed(query_terms, index)
 
 
-def _bm25_counted(query_terms: Sequence[str],
-                  documents: Sequence[tuple[Mapping[str, int], int]]
-                  ) -> list[float]:
-    """`bm25_scores` over (term counts, token count) per document.
+def _index_document(index: Index, counts: Mapping[str, int]) -> None:
+    postings, lengths = index
+    doc = len(lengths)
+    lengths.append(sum(counts.values()))
+    for term, freq in counts.items():
+        entry = postings.get(term)
+        if entry is None:
+            postings[term] = ([doc], [freq])
+        else:
+            entry[0].append(doc)
+            entry[1].append(freq)
 
-    Each score sums its terms in sorted order with the float expressions
-    of the token-list form, so scores are bit-identical to re-counting
-    every token list.
-    """
-    terms = sorted(set(query_terms))
-    hits = [[t for t in terms if t in counts] for counts, _ in documents]
-    matching = [i for i, found in enumerate(hits) if found]
-    if not matching:
-        return [0.0] * len(documents)
+
+def _bm25_indexed(query_terms: Sequence[str], index: Index) -> list[float]:
+    """`bm25_scores` term-at-a-time in sorted term order, so each score is
+    summed in the order and float expressions of the token-list form."""
+    postings, lengths = index
+    scores = [0.0] * len(lengths)
+    hits = [postings[t] for t in sorted(set(query_terms)) if t in postings]
+    if not hits:
+        return scores
+    matching = sorted(set().union(*(docs for docs, _ in hits)))
     n_docs = len(matching)
-    avgdl = sum(documents[i][1] for i in matching) / n_docs
-    df = Counter(t for i in matching for t in hits[i])
-    idf = {t: math.log(1.0 + (n_docs - n + 0.5) / (n + 0.5))
-           for t, n in df.items()}
-    scores = []
-    for (counts, length), found in zip(documents, hits):
-        score = 0.0
-        if found:
-            scale = BM25_K1 * (1.0 - BM25_B + BM25_B * length / avgdl)
-            for term in found:
-                freq = counts[term]
-                score += idf[term] * freq * (BM25_K1 + 1.0) / (freq + scale)
-        scores.append(score)
+    avgdl = sum(lengths[i] for i in matching) / n_docs
+    scale = {i: BM25_K1 * (1.0 - BM25_B + BM25_B * lengths[i] / avgdl)
+             for i in matching}
+    k1_plus_1 = BM25_K1 + 1.0
+    for docs, freqs in hits:
+        n = len(docs)
+        idf = math.log(1.0 + (n_docs - n + 0.5) / (n + 0.5))
+        for i, freq in zip(docs, freqs):
+            scores[i] += idf * freq * k1_plus_1 / (freq + scale[i])
     return scores
 
 
@@ -276,8 +293,7 @@ def retrieve(kb: KnowledgeBase, query: str, k: int) -> RetrievedContext:
     exemplars = kb.exemplars
     if k == 0 or not exemplars:
         return RetrievedContext(primitives=primitives, exemplars=(), scores=())
-    scores = _bm25_counted(tokenize(query),
-                           [(e.term_counts, e.token_count) for e in exemplars])
+    scores = kb.bm25_scores(tokenize(query))
     top = heapq.nsmallest(k, range(len(exemplars)),
                           key=lambda i: (-scores[i], exemplars[i].id))
     return RetrievedContext(

@@ -102,6 +102,15 @@ class TestParse:
             dsl.parse("model m objective minimize total_travel_time "
                       "constraints { remove_edge (-1, 2) }")
 
+    def test_oversized_integer_is_a_parse_error(self):
+        # 5000 digits is past Python's default int-from-string limit (4300)
+        with pytest.raises(dsl.DslError) as exc:
+            dsl.parse("model m objective minimize total_travel_time "
+                      "constraints { remove_edge (" + "9" * 5000 + ", 7) }")
+        assert exc.value.kind == "parse"
+        assert "5000 digits" in exc.value.message
+        assert len(str(exc.value)) < 200
+
 
 class TestStaticCheck:
     def check(self, text):

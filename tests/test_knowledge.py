@@ -129,6 +129,16 @@ class TestKnowledgeBase:
         assert len(kb.exemplars) == 2
         assert snap.root is None
 
+    def test_snapshot_keeps_its_own_ids(self):
+        kb = kn.KnowledgeBase(exemplars=(CLOSURE_EXEMPLAR,))
+        snap = kb.snapshot()
+        kb.append_exemplar(kn.Exemplar("acc-0002", "d", "", VALID_PROGRAM))
+        assert kb.next_exemplar_id() == "acc-0003"
+        assert snap.next_exemplar_id() == "acc-0002"
+        snap.append_exemplar(kn.Exemplar("acc-0002", "e", "", VALID_PROGRAM))
+        with pytest.raises(ValidationError, match="acc-0002 already present"):
+            kb.append_exemplar(kn.Exemplar("acc-0002", "e", "", VALID_PROGRAM))
+
 
 class TestLoadAndPersist:
     def write_kb(self, root):
@@ -377,6 +387,99 @@ class TestRetrieveMatchesReference:
             for query in queries + [added.description]:
                 for base in (kb, snap):
                     self.assert_matches(base, query, len(base.exemplars))
+
+
+class TestIndexLifecycle:
+    """The inverted index, built lazily and extended in place, always
+    ranks and scores exactly as the list-count reference."""
+
+    ref = TestRetrieveMatchesReference()
+
+    def exemplar(self, rng, ident, extra=""):
+        (base,) = self.ref.random_base(rng, 1)
+        return kn.Exemplar(ident, f"{base.description} {extra}", "",
+                           base.program)
+
+    def assert_all_match(self, kb, queries):
+        for query in queries:
+            for k in (1, 3, len(kb.exemplars)):
+                self.ref.assert_matches(kb, query, k)
+
+    def test_append_before_and_after_first_retrieval(self):
+        rng = random.Random(21)
+        for round_ in range(20):
+            kb = kn.KnowledgeBase(
+                exemplars=self.ref.random_base(rng, rng.randint(1, 15)))
+            queries = [self.ref.random_query(rng) for _ in range(4)]
+            # terms new to the base must get postings of their own
+            queries.append("xylophone road")
+            kb.append_exemplar(self.exemplar(rng, f"before-{round_}",
+                                             "xylophone"))
+            self.assert_all_match(kb, queries)
+            kb.append_exemplar(self.exemplar(rng, f"after-{round_}",
+                                             "xylophone xylophone"))
+            kb.append_exemplar(self.exemplar(rng, f"later-{round_}"))
+            self.assert_all_match(kb, queries)
+
+    def test_snapshot_of_indexed_base(self):
+        rng = random.Random(22)
+        for round_ in range(20):
+            kb = kn.KnowledgeBase(
+                exemplars=self.ref.random_base(rng, rng.randint(1, 15)))
+            queries = [self.ref.random_query(rng) for _ in range(4)]
+            queries.append("xylophone gate")
+            self.assert_all_match(kb, queries)
+            snap = kb.snapshot()
+            if round_ % 2:  # the snapshot's own index, built or not yet
+                self.assert_all_match(snap, queries)
+            mine = self.exemplar(rng, f"mine-{round_}", "xylophone")
+            theirs = self.exemplar(rng, f"theirs-{round_}", "xylophone")
+            kb.append_exemplar(mine)
+            snap.append_exemplar(theirs)
+            self.assert_all_match(kb, queries)
+            self.assert_all_match(snap, queries)
+            assert theirs.id not in {e.id for e in kb.exemplars}
+            assert mine.id not in {e.id for e in snap.exemplars}
+            top = kn.retrieve(snap, "xylophone", len(snap.exemplars))
+            assert top.exemplars[0] == theirs
+            assert top.scores[1:] == (0.0,) * (len(top.scores) - 1)
+
+    def test_base_grown_by_accumulate(self, closure_instance):
+        env, _ = closure_instance
+        rng = random.Random(23)
+        kb = kn.KnowledgeBase(exemplars=THREE)
+        queries = [self.ref.random_query(rng) for _ in range(6)]
+        for n in range(300):
+            ex = self.exemplar(rng, "unused")
+            kn.accumulate(kb, env, ex.program, ex.description)
+            if n % 60 == 0:
+                self.ref.assert_matches(kb, queries[n % 6], 5)
+        assert len(kb.exemplars) == 303
+        assert kb.exemplars[-1].id == "acc-0303"
+        self.assert_all_match(kb, queries)
+
+    def test_no_matching_term_and_k_past_the_matches(self):
+        kb = kn.KnowledgeBase(exemplars=THREE)
+        ctx = kn.retrieve(kb, "xylophone harpsichord", 5)
+        assert [e.id for e in ctx.exemplars] == sorted(e.id for e in THREE)
+        assert ctx.scores == (0.0, 0.0, 0.0)
+        self.ref.assert_matches(kb, "xylophone harpsichord", 5)
+        # "height" is in one document only; the rest follow at 0, by id
+        ctx = kn.retrieve(kb, "height xylophone", 5)
+        assert [e.id for e in ctx.exemplars] == [
+            "ex-forbidden", "ex-closure", "ex-route"]
+        assert ctx.scores[0] > 0.0 and ctx.scores[1:] == (0.0, 0.0)
+        self.ref.assert_matches(kb, "height xylophone", 5)
+
+    def test_bm25_scores_matches_reference(self):
+        rng = random.Random(24)
+        vocab = [f"w{i}" for i in range(15)]
+        for _ in range(300):
+            docs = [rng.choices(vocab, k=rng.randint(0, 20))
+                    for _ in range(rng.randint(0, 8))]
+            query = rng.choices(vocab + ["zzz"], k=rng.randint(0, 6))
+            assert (kn.bm25_scores(query, docs)
+                    == helpers.list_count_bm25(query, docs))
 
 
 class TestAccumulate:

@@ -185,6 +185,18 @@ class TestStageClassification:
         assert outcome.attempts[0].stage_reached == "static"
         assert "flow_balance" in outcome.attempts[0].error
 
+    def test_oversized_integer_stops_at_parse(self, closure_instance):
+        env, _ = closure_instance
+        program = ("model m\nobjective minimize total_travel_time\n"
+                   "constraints {\n  flow_balance all\n"
+                   "  remove_edge (" + "9" * 5000 + ", 7)\n}")
+        record = wf.AttemptRecord(index=1, stage_reached="extract")
+        solution = wf._attempt_pipeline(inj.fenced(program), env,
+                                        wf.WorkflowConfig(), record)
+        assert solution is None
+        assert record.stage_reached == "parse"
+        assert "too long" in record.error
+
     def test_bind_stage(self, closure_instance, seed_kb):
         env, _ = closure_instance
         program = ("model m\nobjective minimize total_travel_time\n"
