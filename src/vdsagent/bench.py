@@ -13,7 +13,8 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import asdict, dataclass
+from collections import Counter
+from dataclasses import asdict, dataclass, fields
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any, Callable
@@ -55,8 +56,8 @@ class SuiteConfig:
     tolerance: float = 1e-4
     solve_time_limit: float = DEFAULT_TIME_LIMIT
     ablation: str = "none"
-    learn_during_run: bool = False
     accumulate_policy: str = "agent"  # agent | oracle | none
+    learn_during_run: bool = False
 
     def validate(self) -> None:
         if self.ablation not in ABLATIONS:
@@ -89,11 +90,12 @@ class SuiteConfig:
         return _ABLATION_LABELS[self.ablation]
 
     def workflow_config(self) -> WorkflowConfig:
+        single_attempt = self.ablation == "no-self-correction"
         return WorkflowConfig(
-            max_iterations=self.max_iterations,
+            max_iterations=(min(self.max_iterations, 1) if single_attempt
+                            else self.max_iterations),
             k_shot=self.k_shot,
             use_rag=self.ablation != "no-rag",
-            use_self_correction=self.ablation != "no-self-correction",
             solve_time_limit=self.solve_time_limit,
             accumulate_on_success=False,  # the harness owns accumulation
         )
@@ -187,41 +189,28 @@ def _grouped(results: list[InstanceResult],
 def _stats_block(results: list[InstanceResult],
                  levels: tuple[str, ...]) -> dict[str, Any]:
     by_level = _grouped(results, lambda r: r.level, levels)
-    present = [level for level in levels if level in by_level]
+    groups = [by_level[lv] for lv in levels if lv in by_level]
+    if len(groups) < 2:
+        return {}
+    tests = (
+        ("cer_chi2", chi_squared_test,
+         [[sum(r.executed for r in g), sum(not r.executed for r in g)]
+          for g in groups]),
+        ("ssr_chi2", chi_squared_test,
+         [[sum(r.solved for r in g), sum(not r.solved for r in g)]
+          for g in groups]),
+        ("iterations_anova", anova_test,
+         [[float(r.iterations) for r in g] for g in groups]),
+        ("time_anova", anova_test, [[r.wall_time for r in g] for g in groups]),
+    )
     stats: dict[str, Any] = {}
-    if len(present) >= 2:
-        cer_table = [[sum(1 for r in by_level[lv] if r.executed),
-                      sum(1 for r in by_level[lv] if not r.executed)]
-                     for lv in present]
-        ssr_table = [[sum(1 for r in by_level[lv] if r.solved),
-                      sum(1 for r in by_level[lv] if not r.solved)]
-                     for lv in present]
-        for name, table in (("cer_chi2", cer_table), ("ssr_chi2", ssr_table)):
-            try:
-                result = chi_squared_test(table)
-            except DegenerateTable:
-                continue  # too little data for this test; omit the entry
-            stats[name] = {
-                "statistic": result.statistic, "df": result.df,
-                "p_value": result.p_value,
-                "significant": result.p_value < SIGNIFICANCE_LEVEL,
-            }
-        for name, values in (
-                ("iterations_anova",
-                 [[float(r.iterations) for r in by_level[lv]] for lv in present]),
-                ("time_anova",
-                 [[r.wall_time for r in by_level[lv]] for lv in present])):
-            try:
-                result = anova_test(values)
-            except DegenerateInput:
-                continue
-            stats[name] = {
-                "f_stat": result.f_stat,
-                "df_between": result.df_between,
-                "df_within": result.df_within,
-                "p_value": result.p_value,
-                "significant": result.p_value < SIGNIFICANCE_LEVEL,
-            }
+    for name, test, data in tests:
+        try:
+            result = test(data)
+        except (DegenerateTable, DegenerateInput):
+            continue  # too little data for this test; omit the entry
+        stats[name] = dict(asdict(result),
+                           significant=result.p_value < SIGNIFICANCE_LEVEL)
     return stats
 
 
@@ -263,7 +252,6 @@ def run_benchmark(suite: SuiteConfig, kb: KnowledgeBase,
         trace_dir.mkdir(parents=True, exist_ok=True)
     results: list[InstanceResult] = []
     traces: dict[str, str] = {}
-    categories: dict[str, int] = {}
     for kind in suite.scenarios:
         bases = generate_instances(suite.seed, kind,
                                    suite.instances_per_scenario)
@@ -276,15 +264,12 @@ def run_benchmark(suite: SuiteConfig, kb: KnowledgeBase,
                 outcome = run_transfer(env, retrieval_kb, wf_config, backend)
                 result = evaluate_instance(
                     iid, kind, level, outcome, oracle.objective,
-                    suite.tolerance, wf_config.effective_max_iterations())
+                    suite.tolerance, wf_config.max_iterations)
                 results.append(result)
                 if trace_dir is not None:
                     trace_path = trace_dir / f"{iid}.trace.json"
                     outcome.write_trace(trace_path)
                     traces[iid] = str(trace_path)
-                if result.failure_category:
-                    categories[result.failure_category] = \
-                        categories.get(result.failure_category, 0) + 1
                 solved_by_agent = outcome.status == "solved"
                 should_store = (
                     (suite.accumulate_policy == "agent" and solved_by_agent)
@@ -294,21 +279,10 @@ def run_benchmark(suite: SuiteConfig, kb: KnowledgeBase,
                                description=" ".join(env.requirements.texts))
     by_scenario = _grouped(results, lambda r: r.scenario, suite.scenarios)
     by_level = _grouped(results, lambda r: r.level, suite.levels)
+    categories = Counter(r.failure_category for r in results
+                         if r.failure_category)
     report = {
-        "config": {
-            "label": suite.label(),
-            "seed": suite.seed,
-            "scenarios": list(suite.scenarios),
-            "levels": list(suite.levels),
-            "instances_per_scenario": suite.instances_per_scenario,
-            "k_shot": suite.k_shot,
-            "max_iterations": suite.max_iterations,
-            "tolerance": suite.tolerance,
-            "solve_time_limit": suite.solve_time_limit,
-            "ablation": suite.ablation,
-            "accumulate_policy": suite.accumulate_policy,
-            "learn_during_run": suite.learn_during_run,
-        },
+        "config": {"label": suite.label(), **asdict(suite)},
         "instances": [dict(asdict(r), trace=traces.get(r.instance_id))
                       for r in results],
         "aggregates": {
@@ -325,9 +299,7 @@ def run_benchmark(suite: SuiteConfig, kb: KnowledgeBase,
     return report
 
 
-CSV_COLUMNS = ("instance_id", "scenario", "level", "executed", "solved",
-               "objective", "oracle_objective", "iterations", "wall_time",
-               "failure_category")
+CSV_COLUMNS = tuple(f.name for f in fields(InstanceResult))
 
 
 def report_to_csv(report: dict[str, Any]) -> str:

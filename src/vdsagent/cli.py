@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Any
 
 from . import llm
-from .bench import (BackendProvider, SuiteConfig, report_to_csv,
+from .bench import (ABLATIONS, BackendProvider, SuiteConfig, report_to_csv,
                     run_benchmark, scripted_provider, shared_provider)
 from .env import ScenarioSpec, TerminalEnv, parse_environment
 from .errors import ConfigError, VdsAgentError
@@ -100,10 +100,10 @@ def cmd_run(args: argparse.Namespace) -> int:
     env = _load_env(args.net, args.config, args.reqs)
     kb = _load_kb(args.kb)
     config = WorkflowConfig(
-        max_iterations=args.max_iter,
+        max_iterations=(min(args.max_iter, 1) if args.no_self_correction
+                        else args.max_iter),
         k_shot=args.kshot,
         use_rag=not args.no_rag,
-        use_self_correction=not args.no_self_correction,
         solve_time_limit=args.time_limit,
         token_budget=args.token_budget,
     )
@@ -221,14 +221,11 @@ def cmd_kb(args: argparse.Namespace) -> int:
     data = _read_json(args.exemplar, "exemplar")
     if not isinstance(data, dict):
         raise ConfigError(f"exemplar file {args.exemplar}: expected an object")
-    for key in ("description", "program"):
-        if not isinstance(data.get(key), str):
-            raise ConfigError(f"exemplar file needs string field '{key}'")
     ex = Exemplar(
         id=kb.next_exemplar_id() if data.get("id") is None else data["id"],
-        description=data["description"],
+        description=data.get("description"),
         env_digest=data.get("env_digest", ""),
-        program=data["program"],
+        program=data.get("program"),
     )
     kb.append_exemplar(ex)
     print(f"added exemplar {ex.id}")
@@ -288,9 +285,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="backend: mock:<script.json> or http")
     p_bench.add_argument("--kshot", type=int, choices=(0, 1, 3), default=None,
                          help="exemplars per prompt")
-    p_bench.add_argument("--ablation",
-                         choices=("none", "no-rag", "no-self-correction"),
-                         default=None, help="configuration variant")
+    p_bench.add_argument("--ablation", choices=ABLATIONS, default=None,
+                         help="configuration variant")
     p_bench.add_argument("--kb", help="knowledge base directory "
                                       "(default: packaged seed)")
     p_bench.add_argument("--out", required=True, help="report directory")

@@ -29,6 +29,11 @@ FENCE_TAG = "vds-dsl"
 
 OBJECTIVE = "total_travel_time"
 
+# Longest integer literal accepted: the lowest int-from-string limit any
+# interpreter setting allows (sys.int_info.str_digits_check_threshold),
+# so the bound holds even where that limit is switched off.
+MAX_INT_DIGITS = 640
+
 
 class DslError(VdsAgentError):
     """A parse or static-check failure, with source position when known."""
@@ -217,11 +222,10 @@ class _Parser:
         tok = self.next()
         if tok.type != "int":
             raise self.fail("expected an integer", tok)
-        try:
-            return int(tok.value)
-        except ValueError:  # past the interpreter's int-from-string limit
+        if len(tok.value) > MAX_INT_DIGITS:
             raise DslError("parse", f"integer literal of {len(tok.value)} "
-                           f"digits is too long", tok.line, tok.column) from None
+                           f"digits is too long", tok.line, tok.column)
+        return int(tok.value)
 
     def expect_string(self) -> str:
         tok = self.next()

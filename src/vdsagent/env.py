@@ -175,6 +175,9 @@ class ScenarioSpec:
             object.__setattr__(self, "edge", tuple(self.edge))
         if self.kind not in SCENARIO_KINDS:
             raise SchemaError(f"unknown scenario kind '{self.kind}'")
+        for name in ("vehicle", "task"):
+            if not isinstance(getattr(self, name), (str, type(None))):
+                raise SchemaError(f"scenario {name}: expected a string id")
         if self.kind == "road_closure":
             if self.edge is None or len(self.edge) != 2:
                 raise SchemaError("road_closure requires an edge pair")

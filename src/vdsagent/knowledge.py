@@ -94,6 +94,10 @@ def validate_exemplar(ex: Exemplar) -> None:
             f"exemplar id {ex.id!r} is not a safe file name: a string of "
             f"letters, digits, '.', '_' and '-' that starts with a letter "
             f"or digit")
+    for name in ("description", "env_digest", "program"):
+        if not isinstance(getattr(ex, name), str):
+            raise ValidationError(
+                f"exemplar {ex.id}: needs string field '{name}'")
     if not ex.description.strip():
         raise ValidationError(f"exemplar {ex.id}: empty description")
     try:

@@ -29,7 +29,6 @@ class WorkflowConfig:
     max_iterations: int = 3
     k_shot: int = 1
     use_rag: bool = True
-    use_self_correction: bool = True
     solve_time_limit: float = solver.DEFAULT_TIME_LIMIT
     accumulate_on_success: bool = True
     token_budget: int = llm.DEFAULT_TOKEN_BUDGET
@@ -42,9 +41,6 @@ class WorkflowConfig:
         solver.check_time_limit(self.solve_time_limit)
         if self.token_budget <= 0:
             raise ConfigError("token_budget must be positive")
-
-    def effective_max_iterations(self) -> int:
-        return self.max_iterations if self.use_self_correction else 1
 
 
 @dataclass
@@ -112,41 +108,36 @@ def _attempt_pipeline(coder_output: str, env: TerminalEnv,
                       record: AttemptRecord) -> solver.Solution | None:
     """Run extract -> parse -> static -> bind -> solve, recording progress.
 
-    Returns the solution on success; on failure sets the record's stage
-    and error and returns None.
+    Returns the solution on success; on failure the record keeps the
+    stage that failed and its error, and None is returned.  Each stage
+    raises only its own error type, so one handler serves them all.
     """
-    record.stage_reached = "extract"
     try:
-        program = dsl.extract_dsl_block(coder_output)
-    except dsl.ExtractionError as exc:
-        record.error = str(exc)
-        return None
-    record.extracted_program = program
-    record.stage_reached = "parse"
-    try:
-        ast = dsl.parse(program)
-    except dsl.DslError as exc:
-        record.error = str(exc)
-        return None
-    record.stage_reached = "static"
-    problems = dsl.static_check(ast)
-    if problems:
-        record.error = "; ".join(str(p) for p in problems)
-        return None
-    record.stage_reached = "bind"
-    try:
+        record.stage_reached = "extract"
+        record.extracted_program = dsl.extract_dsl_block(coder_output)
+        record.stage_reached = "parse"
+        ast = dsl.parse(record.extracted_program)
+        record.stage_reached = "static"
+        problems = dsl.static_check(ast)
+        if problems:
+            record.error = "; ".join(str(p) for p in problems)
+            return None
+        record.stage_reached = "bind"
         instance = solver.bind(ast, env)
-    except solver.SolveError as exc:
-        record.error = str(exc)
-        return None
-    record.stage_reached = "solve"
-    try:
+        record.stage_reached = "solve"
         solution = solver.solve(instance, config.solve_time_limit)
-    except solver.SolveError as exc:
+    except (dsl.ExtractionError, dsl.DslError, solver.SolveError) as exc:
         record.error = str(exc)
         return None
     record.stage_reached = "solved"
     return solution
+
+
+def _ask(backend: llm.Backend, role: str, ctx: llm.PromptContext,
+         config: WorkflowConfig) -> tuple[llm.PromptBundle, str]:
+    """Render the role's prompt and complete it: one model call."""
+    bundle = llm.render_prompt(role, ctx, config.token_budget)
+    return bundle, llm.complete(backend, bundle)
 
 
 def run_transfer(env: TerminalEnv, kb: KnowledgeBase,
@@ -163,24 +154,31 @@ def run_transfer(env: TerminalEnv, kb: KnowledgeBase,
         retrieved = retrieve(kb, query, config.k_shot)
     outcome = TransferOutcome(status="exhausted", retrieved=retrieved)
     corrections: list[str] = []
-    for index in range(1, config.effective_max_iterations() + 1):
+    for index in range(1, config.max_iterations + 1):
         attempt_start = time.monotonic()
         record = AttemptRecord(index=index, stage_reached="extract")
-        base_ctx = llm.PromptContext(
+        ctx = llm.PromptContext(
             env_digest=digest, requirements=requirements,
             retrieved=retrieved, corrections=tuple(corrections))
-        record.modeler_prompt = llm.render_prompt("modeler", base_ctx,
-                                                  config.token_budget)
-        record.modeler_scheme = llm.complete(backend, record.modeler_prompt)
-        coder_ctx = dataclasses.replace(base_ctx,
-                                        scheme=record.modeler_scheme)
-        record.coder_prompt = llm.render_prompt("coder", coder_ctx,
-                                                config.token_budget)
-        record.coder_output = llm.complete(backend, record.coder_prompt)
+        record.modeler_prompt, record.modeler_scheme = _ask(
+            backend, "modeler", ctx, config)
+        record.coder_prompt, record.coder_output = _ask(
+            backend, "coder",
+            dataclasses.replace(ctx, scheme=record.modeler_scheme), config)
         solution = _attempt_pipeline(record.coder_output, env, config, record)
+        if solution is None and index < config.max_iterations:
+            debug_ctx = llm.PromptContext(
+                env_digest=digest, requirements=requirements,
+                corrections=tuple(corrections),
+                failed_program=record.extracted_program or record.coder_output,
+                error_message=record.error)
+            record.debugger_prompt, record.debugger_output = _ask(
+                backend, "debugger", debug_ctx, config)
+            record.reflection = llm.parse_reflection(record.debugger_output)
+            corrections.append(record.reflection.correction)
+        record.wall_time = time.monotonic() - attempt_start
+        outcome.attempts.append(record)
         if solution is not None:
-            record.wall_time = time.monotonic() - attempt_start
-            outcome.attempts.append(record)
             outcome.status = "solved"
             outcome.final_program = record.extracted_program
             outcome.solution = solution
@@ -189,19 +187,5 @@ def run_transfer(env: TerminalEnv, kb: KnowledgeBase,
                            description=" ".join(requirements))
                 outcome.accumulated = True
             break
-        if index < config.effective_max_iterations():
-            debug_ctx = llm.PromptContext(
-                env_digest=digest, requirements=requirements,
-                corrections=tuple(corrections),
-                failed_program=record.extracted_program or record.coder_output,
-                error_message=record.error)
-            record.debugger_prompt = llm.render_prompt("debugger", debug_ctx,
-                                                       config.token_budget)
-            record.debugger_output = llm.complete(backend,
-                                                  record.debugger_prompt)
-            record.reflection = llm.parse_reflection(record.debugger_output)
-            corrections.append(record.reflection.correction)
-        record.wall_time = time.monotonic() - attempt_start
-        outcome.attempts.append(record)
     outcome.total_wall_time = time.monotonic() - run_start
     return outcome

@@ -290,8 +290,7 @@ def test_criterion_7_self_correction():
     assert correction in outcome.attempts[1].modeler_prompt.user
     assert correction in outcome.attempts[1].coder_prompt.user
 
-    frozen = wf.WorkflowConfig(accumulate_on_success=False,
-                               use_self_correction=False)
+    frozen = wf.WorkflowConfig(accumulate_on_success=False, max_iterations=1)
     outcome = wf.run_transfer(env, load_seed_kb(), frozen,
                               llm.MockBackend(script))
     assert outcome.status == "exhausted"
@@ -300,15 +299,13 @@ def test_criterion_7_self_correction():
 
     @settings(max_examples=15, deadline=None)
     @given(max_iter=st.integers(min_value=1, max_value=4),
-           self_corr=st.booleans(),
            failures=st.integers(min_value=4, max_value=8))
-    def bound_holds(max_iter, self_corr, failures):
+    def bound_holds(max_iter, failures):
         cfg = wf.WorkflowConfig(max_iterations=max_iter,
-                                use_self_correction=self_corr,
                                 accumulate_on_success=False)
         backend = llm.MockBackend(inj.stubborn_script(attempts=failures))
         result = wf.run_transfer(env, load_seed_kb(), cfg, backend)
-        assert result.iterations <= cfg.effective_max_iterations()
+        assert result.iterations <= cfg.max_iterations
         assert result.status == "exhausted"
 
     bound_holds()
@@ -361,3 +358,69 @@ def test_criterion_9_live_smoke():
     print(f"\nPASS: criterion 9 - live run finished: status="
           f"{outcome.status}, iterations={outcome.iterations}, "
           f"objective_matches_oracle={correct}")
+
+
+_FUZZ_WORDS = (
+    "model", "objective", "minimize", "total_travel_time", "constraints",
+    "flow_balance", "all", "remove_edge", "forbid_edge", "require_subpath",
+    "require_exact_path", "vehicle", "task", '"AGV-4"', '"T3"', '"T9"',
+    "{", "}", "(", ")", "[", "]", ",", '"', "#", "```", "```vds-dsl",
+    "0", "6", "7,", "(10,", "99)", "-1", "é", "\0",
+)
+_FUZZ_LINES = (
+    "  flow_balance all", "  remove_edge (6, 10)", "  remove_edge (99, 7)",
+    '  require_exact_path task "T3" [6, 10, 11]',
+    '  require_subpath task "T9" [6, 10]',
+    '  forbid_edge vehicle "AGV-1" (0, 1)',
+)
+
+
+def _mutate(rng, text):
+    """Insert, delete or replace a line, a word or a character at random."""
+    sep, pieces = rng.choice((
+        ("\n", _FUZZ_LINES), (" ", _FUZZ_WORDS),
+        ("", (*_FUZZ_WORDS, chr(rng.randint(1, 0x2ff))))))
+    parts = text.split(sep) if sep else list(text)
+    at = rng.randrange(len(parts))
+    op = rng.randrange(3)
+    if op == 0:
+        parts.insert(at, rng.choice(pieces))
+    elif op == 1:
+        del parts[at]
+    else:
+        parts[at] = rng.choice(pieces)
+    return sep.join(parts)
+
+
+def test_criterion_10_pipeline_fuzz():
+    rng = random.Random(1618)
+    envs = {kind: generate_instances(42, kind, 1)[0][0]
+            for kind in inj.CORRECT_PROGRAMS}
+    oversized = ("model m\nobjective minimize total_travel_time\n"
+                 "constraints {\n  flow_balance all\n"
+                 "  remove_edge (" + "9" * 5000 + ", 7)\n}")
+    config = wf.WorkflowConfig()
+    failure_stages = ("extract", "parse", "static", "bind", "solve")
+    seen = {}
+    runs = 2500
+    start = time.monotonic()
+    for i in range(runs):
+        kind = rng.choice(sorted(envs))
+        text = inj.fenced(oversized if i % 50 == 0
+                          else inj.CORRECT_PROGRAMS[kind])
+        for _ in range(rng.choice((1, 1, 2, 3))):
+            text = _mutate(rng, text)
+        record = wf.AttemptRecord(index=1, stage_reached="extract")
+        solution = wf._attempt_pipeline(text, envs[kind], config, record)
+        if record.stage_reached == "solved":
+            assert isinstance(solution, solver.Solution), text
+        else:
+            assert solution is None, text
+            assert record.stage_reached in failure_stages, text
+            assert record.error, text
+        seen[record.stage_reached] = seen.get(record.stage_reached, 0) + 1
+    elapsed = time.monotonic() - start
+    assert set(seen) == {*failure_stages, "solved"}, seen
+    print(f"\nPASS: criterion 10 - {runs} mutated completions through the "
+          f"attempt pipeline, none raised; stages {dict(sorted(seen.items()))}"
+          f" in {elapsed:.1f}s")

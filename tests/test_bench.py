@@ -171,12 +171,12 @@ class TestSuiteConfig:
 
     def test_workflow_config_mirrors_ablation(self):
         full = bench.SuiteConfig().workflow_config()
-        assert full.use_rag and full.use_self_correction
+        assert full.use_rag and full.max_iterations == 3
         assert not full.accumulate_on_success
         assert not bench.SuiteConfig(
             ablation="no-rag").workflow_config().use_rag
-        assert not bench.SuiteConfig(
-            ablation="no-self-correction").workflow_config().use_self_correction
+        assert bench.SuiteConfig(
+            ablation="no-self-correction").workflow_config().max_iterations == 1
 
 
 class TestProviders:

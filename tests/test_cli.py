@@ -68,6 +68,15 @@ class TestRun:
         assert code == 1
         assert "iterations: 1" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("max_iter", ("0", "-2"))
+    def test_no_self_correction_keeps_budget_check(self, script_path, capsys,
+                                                   max_iter):
+        script = script_path("stubborn.json", inj.stubborn_script())
+        code = main(["run", "--llm", f"mock:{script}", "--max-iter", max_iter,
+                     "--no-self-correction"])
+        assert code == 2
+        assert "max_iterations must be >= 1" in capsys.readouterr().err
+
     def test_missing_requirements_file(self, tmp_path, script_path, capsys):
         script = script_path("golden.json", golden_flat())
         code = main(["run", "--llm", f"mock:{script}",
@@ -269,6 +278,15 @@ class TestOracle:
         assert code == 2
         assert "99" in capsys.readouterr().err
 
+    def test_scenario_vehicle_not_string(self, tmp_path, capsys):
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(
+            {"kind": "forbidden_edge_vehicle",
+             "params": {"vehicle": ["x"], "edge": [5, 6]}}))
+        assert main(["oracle", "--scenario", str(scenario)]) == 2
+        assert "scenario vehicle: expected a string id" in \
+            capsys.readouterr().err
+
     def test_scenario_not_object(self, tmp_path, capsys):
         scenario = tmp_path / "scenario.json"
         scenario.write_text("[1, 2]")
@@ -339,6 +357,20 @@ class TestKb:
         code = main(["kb", "add", "--kb", str(root), "--exemplar", exemplar])
         assert code == 2
         assert "description" in capsys.readouterr().err
+
+    def test_add_rejects_non_string_env_digest(self, tmp_path, script_path,
+                                               capsys):
+        root = self.make_kb_dir(tmp_path)
+        exemplar = script_path("ex.json", {
+            "description": "a valid closure transfer",
+            "env_digest": 5,
+            "program": inj.CORRECT_PROGRAMS["road_closure"],
+        })
+        code = main(["kb", "add", "--kb", str(root), "--exemplar", exemplar])
+        assert code == 2
+        assert "env_digest" in capsys.readouterr().err
+        assert not list((root / "exemplars").glob("*.json"))
+        assert main(["kb", "list", "--kb", str(root)]) == 0
 
     @pytest.mark.parametrize("ident", [7, "sub/dir-x", "../escape"])
     def test_add_rejects_unsafe_id(self, tmp_path, script_path, capsys,

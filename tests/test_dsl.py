@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -110,6 +111,24 @@ class TestParse:
         assert exc.value.kind == "parse"
         assert "5000 digits" in exc.value.message
         assert len(str(exc.value)) < 200
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                        reason="interpreter has no int-from-string limit")
+    def test_integer_bound_without_interpreter_limit(self):
+        def program(digits):
+            return ("model m objective minimize total_travel_time "
+                    "constraints { remove_edge (" + "9" * digits + ", 7) }")
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)  # no limit, as on Python <= 3.10.6
+        try:
+            longest = dsl.parse(program(dsl.MAX_INT_DIGITS))
+            with pytest.raises(dsl.DslError) as exc:
+                dsl.parse(program(dsl.MAX_INT_DIGITS + 1))
+        finally:
+            sys.set_int_max_str_digits(saved)
+        assert longest.statements[0].source == 10 ** dsl.MAX_INT_DIGITS - 1
+        assert exc.value.kind == "parse"
+        assert "641 digits" in exc.value.message
 
 
 class TestStaticCheck:

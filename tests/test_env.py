@@ -114,6 +114,15 @@ class TestScenarioSpec:
         with pytest.raises(SchemaError):
             ScenarioSpec("weather", edge=(1, 2))
 
+    @pytest.mark.parametrize("kwargs", [
+        {"kind": "forbidden_edge_vehicle", "vehicle": ["x"], "edge": (5, 6)},
+        {"kind": "forbidden_edge_vehicle", "vehicle": 4, "edge": (5, 6)},
+        {"kind": "designated_route", "task": {"id": "T3"}, "nodes": (6, 10)},
+    ])
+    def test_ids_must_be_strings(self, kwargs):
+        with pytest.raises(SchemaError):
+            ScenarioSpec(**kwargs)
+
     def test_round_trip(self):
         for spec in (
             ScenarioSpec("road_closure", edge=(6, 7)),

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 
@@ -79,6 +80,13 @@ class TestValidateExemplar:
     @pytest.mark.parametrize("ident", ["acc-0001", "ex.v2_a", "7"])
     def test_accepts_file_stem_id(self, ident):
         kn.validate_exemplar(kn.Exemplar(ident, "d", "", VALID_PROGRAM))
+
+    @pytest.mark.parametrize("field", ["description", "env_digest", "program"])
+    def test_rejects_non_string_field(self, field):
+        ex = dataclasses.replace(CLOSURE_EXEMPLAR, **{field: 5})
+        with pytest.raises(ValidationError) as exc:
+            kn.validate_exemplar(ex)
+        assert f"needs string field '{field}'" in str(exc.value)
 
     def test_rejects_blank_description(self):
         with pytest.raises(ValidationError):

@@ -103,8 +103,7 @@ class TestExhaustion:
                                                seed_kb):
         env, _ = closure_instance
         script = inj.stubborn_script(attempts=1)
-        outcome = run(env, seed_kb, script, use_self_correction=False,
-                      max_iterations=3)
+        outcome = run(env, seed_kb, script, max_iterations=1)
         assert outcome.status == "exhausted"
         assert outcome.iterations == 1
         assert outcome.attempts[0].debugger_prompt is None
@@ -165,7 +164,7 @@ class TestStageClassification:
             "coder": [coder_text],
             "debugger": [],
         }
-        return run(env, kb, script, use_self_correction=False)
+        return run(env, kb, script, max_iterations=1)
 
     def test_extract_stage(self, closure_instance, seed_kb):
         env, _ = closure_instance
@@ -224,19 +223,16 @@ class TestStageClassification:
 
 class TestIterationBound:
     @settings(max_examples=20, deadline=None)
-    @given(max_iter=st.integers(min_value=1, max_value=4),
-           self_corr=st.booleans())
-    def test_attempts_never_exceed_budget(self, max_iter, self_corr):
+    @given(max_iter=st.integers(min_value=1, max_value=4))
+    def test_attempts_never_exceed_budget(self, max_iter):
         from vdsagent.instances import generate_instances
         from vdsagent.knowledge import load_seed_kb
 
         env, _ = generate_instances(42, "road_closure", 1)[0]
         script = inj.stubborn_script(attempts=4)
-        outcome = run(env, load_seed_kb(), script, max_iterations=max_iter,
-                      use_self_correction=self_corr)
-        expected = max_iter if self_corr else 1
+        outcome = run(env, load_seed_kb(), script, max_iterations=max_iter)
         assert outcome.status == "exhausted"
-        assert outcome.iterations == expected
+        assert outcome.iterations == max_iter
 
 
 class TestConfigValidation:
@@ -250,11 +246,6 @@ class TestConfigValidation:
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ConfigError):
             wf.WorkflowConfig(**kwargs).validate()
-
-    def test_effective_max_iterations(self):
-        assert wf.WorkflowConfig(max_iterations=5).effective_max_iterations() == 5
-        config = wf.WorkflowConfig(max_iterations=5, use_self_correction=False)
-        assert config.effective_max_iterations() == 1
 
 
 class TestTrace:
