@@ -85,6 +85,10 @@ class SuiteConfig:
         for level in self.levels:
             if level not in EXPERTISE_LEVELS:
                 raise ConfigError(f"unknown expertise level '{level}'")
+        for name in ("scenarios", "levels"):
+            entries = getattr(self, name)
+            if len(set(entries)) != len(entries):
+                raise ConfigError(f"{name} repeats an entry: {list(entries)}")
 
     def label(self) -> str:
         return _ABLATION_LABELS[self.ablation]

@@ -11,6 +11,7 @@ import json
 import math
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, IO
 
 from .errors import CrossReferenceError, SchemaError, UnknownCombination
@@ -84,6 +85,11 @@ class Network:
     def lengths(self) -> dict[tuple[int, int], float]:
         """Directed edge -> length mapping."""
         return {(e.source, e.target): e.length for e in self.edges}
+
+    @cached_property
+    def routes(self) -> dict[tuple, tuple[float, tuple[int, ...]]]:
+        """`solver.shortest_path`'s route memo for this immutable network."""
+        return {}
 
 
 @dataclass(frozen=True)

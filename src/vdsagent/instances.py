@@ -53,7 +53,7 @@ def generate_instances(seed: int, kind: str, count: int,
     node_ids = sorted(network.node_ids())
     constraints = scenario_constraints(
         spec, {f"T{k}": f"AGV-{k}" for k in range(1, FLEET_SIZE + 1)})
-    common = RoadGraph(network.lengths()).without(constraints.removed)
+    common = RoadGraph.of(network).without(constraints.removed)
     instances = []
     for i in range(count):
         rng = random.Random(f"{seed}:{kind}:{i}")

@@ -12,6 +12,11 @@ A network's links are indexed once, in a `RoadGraph`, and each vehicle
 gets a view without its removed links.  A search runs Dijkstra from the
 target over reversed links until the source settles, then walks forward
 from the source, always to the smallest neighbour on a shortest route.
+
+Found routes are memoized on the `env.Network` a graph comes from, keyed
+by (removed links, source, target) and kept as long as that network
+object, so generation, the oracle and every transfer on it solve each
+route once.  Infeasible and timed-out searches are not stored.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from dataclasses import dataclass, field
 from typing import Any, Iterable
 
 from . import dsl
-from .env import ScenarioSpec, TerminalEnv
+from .env import Network, ScenarioSpec, TerminalEnv
 from .errors import ConfigError, VdsAgentError
 
 DEFAULT_TIME_LIMIT = 300.0
@@ -51,7 +56,8 @@ class RoadGraph(EdgeMap):
 
     The lengths and the successor and predecessor lists, sorted by node,
     are built once and shared by every view `without` derives, so a
-    vehicle's graph costs only the links it loses.
+    vehicle's graph costs only the links it loses.  So is the route memo:
+    the network's for `RoadGraph.of`, a private one otherwise.
     """
 
     def __init__(self, lengths: EdgeMap):
@@ -67,6 +73,14 @@ class RoadGraph(EdgeMap):
         # adjacency lists of the nodes a removed link touches, filtered
         self._cut_succ: _Adjacency = {}
         self._cut_pred: _Adjacency = {}
+        self._routes: dict[tuple, tuple[float, tuple[int, ...]]] = {}
+
+    @classmethod
+    def of(cls, network: Network) -> RoadGraph:
+        """The network's links, indexed, with the network's route memo."""
+        graph = cls(network.lengths())
+        graph._routes = network.routes
+        return graph
 
     def without(self, edges: Iterable[tuple[int, int]]) -> RoadGraph:
         """A view that also lacks `edges`; links not in it are ignored."""
@@ -160,7 +174,7 @@ class Constraints:
 
     def instance(self, env: TerminalEnv) -> SolverInstance:
         """Every vehicle of the fleet, in fleet order, on one shared graph."""
-        common = RoadGraph(env.network.lengths()).without(self.removed)
+        common = RoadGraph.of(env.network).without(self.removed)
         ods = {t.agv: (t.origin, t.destination) for t in env.fleet.tasks}
         return SolverInstance(vehicles=tuple(
             self.problem(common, a.id, ods.get(a.id))
@@ -199,8 +213,21 @@ def shortest_path(edges: EdgeMap, source: int, target: int,
 
     A plain mapping is indexed into a RoadGraph first.  The clock is read
     every CLOCK_EVERY heap pops; past `deadline` the search raises timeout.
+
+    A found route is memoized under (removed links, source, target) in
+    the graph's memo (the network's, for `RoadGraph.of`, living as long
+    as it); infeasible and timed-out searches raise and store nothing.
     """
     graph = edges if isinstance(edges, RoadGraph) else RoadGraph(edges)
+    key = (graph.removed, source, target)
+    route = graph._routes.get(key)
+    if route is None:
+        route = graph._routes[key] = _search(graph, source, target, deadline)
+    return route
+
+
+def _search(graph: RoadGraph, source: int, target: int,
+            deadline: float) -> tuple[float, tuple[int, ...]]:
     if source == target:
         return 0.0, (source,)
     pred, cut_pred = graph._pred, graph._cut_pred

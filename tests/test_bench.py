@@ -1,6 +1,7 @@
 import json
 import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -158,6 +159,9 @@ class TestSuiteConfig:
         {"solve_time_limit": 0},
         {"tolerance": math.nan},
         {"solve_time_limit": math.nan},
+        # a repeat would run one instance id twice under one trace file
+        {"levels": ("engineer", "engineer", "scientist")},
+        {"scenarios": ("road_closure", "designated_route", "road_closure")},
     ])
     def test_validate_rejects(self, kwargs):
         with pytest.raises(ConfigError):
@@ -293,6 +297,39 @@ class TestRunBenchmark:
         b = bench.run_benchmark(suite, load_seed_kb(), provider)
         assert json.dumps(normalize(a), sort_keys=True) == \
             json.dumps(normalize(b), sort_keys=True)
+
+    def test_oracle_and_transfers_reuse_generated_routes(self, monkeypatch):
+        # generation searches every route of a scenario's network; the
+        # oracle and all three levels' transfers on it only look them up
+        fresh = Counter()
+        stage = ["other"]
+        search = solver._search
+
+        def counted(*args):
+            fresh[stage[0]] += 1
+            return search(*args)
+
+        def staged(name, fn):
+            def wrapper(*args, **kwargs):
+                stage[0] = name
+                try:
+                    return fn(*args, **kwargs)
+                finally:
+                    stage[0] = "other"
+            return wrapper
+
+        monkeypatch.setattr(solver, "_search", counted)
+        monkeypatch.setattr(bench, "oracle_solve",
+                            staged("oracle", bench.oracle_solve))
+        monkeypatch.setattr(bench, "run_transfer",
+                            staged("transfer", bench.run_transfer))
+        report = bench.run_benchmark(
+            bench.SuiteConfig(seed=3), load_seed_kb(),
+            bench.scripted_provider(inj.golden_script()))
+        assert report["aggregates"]["overall"]["ssr"] == 1.0
+        assert fresh["other"] > 0
+        assert fresh["oracle"] == 0
+        assert fresh["transfer"] == 0
 
     def test_empty_levels_rejected_by_stats_absence(self):
         report = bench.run_benchmark(

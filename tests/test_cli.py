@@ -191,6 +191,20 @@ class TestBench:
         assert code == 2
         assert "expected a list" in capsys.readouterr().err
 
+    def test_suite_file_repeated_level_exits_two(self, tmp_path, script_path,
+                                                 capsys):
+        suite = script_path("suite.json", {
+            "levels": ["engineer", "engineer", "scientist"],
+            "instances_per_scenario": 1,
+        })
+        script = script_path("golden.json", inj.golden_script())
+        out = tmp_path / "out"
+        code = main(["bench", "--suite", suite, "--llm", f"mock:{script}",
+                     "--out", str(out)])
+        assert code == 2
+        assert "levels repeats an entry" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+
     @pytest.mark.parametrize("key", ("tolerance", "solve_time_limit"))
     def test_suite_file_nan_exits_two(self, tmp_path, capsys, key):
         suite = tmp_path / "suite.json"

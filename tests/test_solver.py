@@ -122,6 +122,120 @@ class TestShortestPath:
                     assert sv.shortest_path(edges, source, target) == expected
 
 
+def network_from(edges):
+    nodes = sorted({node for edge in edges for node in edge})
+    return Network(nodes=tuple(Node(n) for n in nodes),
+                   edges=tuple(Edge(u, v, w)
+                               for (u, v), w in sorted(edges.items())))
+
+
+class TestRouteMemo:
+    @pytest.fixture
+    def searches(self, monkeypatch):
+        """Counts the searches that miss the memo."""
+        calls = []
+        search = sv._search
+
+        def counted(*args):
+            calls.append(args[1:3])
+            return search(*args)
+
+        monkeypatch.setattr(sv, "_search", counted)
+        return calls
+
+    def test_memoized_routes_match_fresh_search_and_reference(self,
+                                                              searches):
+        rng = random.Random(5)
+        for side in (4, 8, 12):
+            full = grid_edges(side)
+            network = network_from(full)
+            base = sv.RoadGraph.of(network)
+            for _ in range(20):
+                cut = rng.sample(sorted(full),
+                                 rng.randrange(0, len(full) // 5))
+                for _ in range(5):
+                    source, target = rng.sample(range(side * side), 2)
+                    view = base.without(cut)  # a new view, an equal key
+                    expected = path_heap_dijkstra(dict(view), source, target)
+                    if expected is None:
+                        with pytest.raises(sv.SolveError):
+                            sv.shortest_path(view, source, target)
+                        assert (view.removed, source, target) \
+                            not in network.routes
+                        continue
+                    route = sv.shortest_path(view, source, target)
+                    assert route == expected
+                    searched = len(searches)
+                    assert sv.shortest_path(base.without(cut), source,
+                                            target) is route
+                    assert len(searches) == searched
+                    assert network.routes[(view.removed, source, target)] \
+                        is route
+                    assert sv._search(view, source, target,
+                                      math.inf) == route
+
+    def test_views_with_different_removed_sets_keep_apart(self):
+        network = default_network()
+        graph = sv.RoadGraph.of(network)
+        closed = graph.without({(6, 7), (7, 6)})
+        banned = graph.without({(6, 7)})
+        assert sv.shortest_path(closed, 6, 7) == (30.0, (6, 1, 2, 7))
+        assert sv.shortest_path(banned, 7, 6) == (10.0, (7, 6))
+        assert sv.shortest_path(graph, 6, 7) == (10.0, (6, 7))
+        assert sv.shortest_path(closed, 7, 6) == (30.0, (7, 2, 1, 6))
+        assert sv.shortest_path(banned, 6, 7) == (30.0, (6, 1, 2, 7))
+        assert sorted(network.routes, key=repr) == sorted([
+            (closed.removed, 6, 7), (closed.removed, 7, 6),
+            (banned.removed, 7, 6), (banned.removed, 6, 7),
+            (frozenset(), 6, 7)], key=repr)
+
+    def test_equal_networks_keep_their_own_memo(self, searches):
+        first, second = default_network(), default_network()
+        assert first == second and first is not second
+        route = sv.shortest_path(sv.RoadGraph.of(first), 0, 19)
+        assert list(first.routes.values()) == [route]
+        assert second.routes == {}
+        # a graph indexed from a plain mapping keeps a private memo
+        assert sv.shortest_path(second.lengths(), 0, 19) == route
+        assert sv.shortest_path(sv.RoadGraph(second.lengths()), 0, 19) \
+            == route
+        assert second.routes == {}
+        assert sv.shortest_path(sv.RoadGraph.of(second), 0, 19) == route
+        assert len(searches) == 4
+        # the memo is no field: equality and hashing ignore it
+        assert first == second and hash(first) == hash(second)
+
+    def test_timed_out_search_is_not_stored(self, monkeypatch):
+        network = network_from(grid_edges(40))
+        problem = sv.VehicleProblem("v", (0, 40 * 40 - 1),
+                                    sv.RoadGraph.of(network))
+        reads = []
+
+        def clock():
+            reads.append(None)
+            return 0.0 if len(reads) <= 2 else 1000.0
+
+        monkeypatch.setattr(sv, "_now", clock)
+        with pytest.raises(sv.SolveError) as exc:
+            single(problem)
+        assert exc.value.kind == "timeout"
+        assert network.routes == {}
+        monkeypatch.setattr(sv, "_now", lambda: 0.0)
+        expected = path_heap_dijkstra(grid_edges(40), 0, 40 * 40 - 1)
+        assert single(problem) == expected
+        assert list(network.routes.values()) == [expected]
+
+    def test_infeasible_search_is_not_stored(self, searches):
+        network = Network(nodes=(Node(0), Node(1)), edges=(Edge(0, 1, 1),))
+        graph = sv.RoadGraph.of(network)
+        for _ in range(2):
+            with pytest.raises(sv.SolveError) as exc:
+                sv.shortest_path(graph, 1, 0)
+            assert exc.value.kind == "infeasible"
+        assert network.routes == {}
+        assert searches == [(1, 0), (1, 0)]
+
+
 def single(problem):
     solution = sv.solve(sv.SolverInstance(vehicles=(problem,)))
     return solution.costs[problem.vehicle], solution.paths[problem.vehicle]
