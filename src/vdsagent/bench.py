@@ -87,6 +87,8 @@ class SuiteConfig:
                 raise ConfigError(f"unknown expertise level '{level}'")
         for name in ("scenarios", "levels"):
             entries = getattr(self, name)
+            if not entries:
+                raise ConfigError(f"{name} must not be empty")
             if len(set(entries)) != len(entries):
                 raise ConfigError(f"{name} repeats an entry: {list(entries)}")
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 from pathlib import Path
 from typing import Any
@@ -25,7 +24,7 @@ from .bench import (ABLATIONS, BackendProvider, SuiteConfig, report_to_csv,
                     run_benchmark, scripted_provider, shared_provider)
 from .env import ScenarioSpec, TerminalEnv, parse_environment
 from .errors import ConfigError, VdsAgentError
-from .files import atomic_write
+from .files import atomic_write, read_json, write_json
 from .knowledge import Exemplar, KnowledgeBase, load, load_seed_kb
 from .solver import DEFAULT_TIME_LIMIT, SolveError, oracle_solve
 from .workflow import WorkflowConfig, run_transfer
@@ -43,11 +42,9 @@ def _read_text(path: str | Path, what: str) -> str:
     return p.read_text(encoding="utf-8")
 
 
-def _read_json(path: str | Path, what: str) -> Any:
-    try:
-        return json.loads(_read_text(path, what))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{what} file {path}: invalid JSON ({exc})") from exc
+def _read_json(path: str | Path, what: str) -> dict[str, Any]:
+    return read_json(_read_text(path, what), f"{what} file {path}",
+                     ConfigError)
 
 
 def _load_env(net: str | None, config: str | None,
@@ -71,11 +68,7 @@ def _load_kb(path: str | None) -> KnowledgeBase:
 def _mock_script(spec: str) -> dict[str, Any] | None:
     """The script object named by `mock:<file>`; None for `http`."""
     if spec.startswith("mock:"):
-        script_path = spec[len("mock:"):]
-        script = _read_json(script_path, "mock script")
-        if not isinstance(script, dict):
-            raise ConfigError(f"mock script {script_path}: expected an object")
-        return script
+        return _read_json(spec[len("mock:"):], "mock script")
     if spec == "http":
         return None
     raise ConfigError(
@@ -116,9 +109,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     if outcome.solution is not None:
         print(f"objective: {outcome.solution.objective:g}")
         if args.out:
-            atomic_write(args.out,
-                         json.dumps(outcome.solution.to_dict(), indent=2)
-                         + "\n")
+            write_json(args.out, outcome.solution.to_dict())
             print(f"solution: {args.out}")
     else:
         final = outcome.attempts[-1]
@@ -135,8 +126,6 @@ def _resolve_suite(args: argparse.Namespace) -> SuiteConfig:
     kwargs: dict[str, Any] = {}
     if args.suite != "default":
         data = _read_json(args.suite, "suite")
-        if not isinstance(data, dict):
-            raise ConfigError(f"suite file {args.suite}: expected an object")
         allowed = {f.name for f in dataclasses.fields(SuiteConfig)}
         unknown = sorted(set(data) - allowed)
         if unknown:
@@ -167,7 +156,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     provider = _make_provider(args.llm)
     out = Path(args.out)
     report = run_benchmark(suite, kb, provider, trace_dir=out / "traces")
-    atomic_write(out / "report.json", json.dumps(report, indent=2) + "\n")
+    write_json(out / "report.json", report)
     atomic_write(out / "report.csv", report_to_csv(report))
     overall = report["aggregates"]["overall"]
     print(f"config: {report['config']['label']}")
@@ -183,9 +172,6 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     spec = None
     if args.scenario:
         data = _read_json(args.scenario, "scenario")
-        if not isinstance(data, dict):
-            raise ConfigError(
-                f"scenario file {args.scenario}: expected an object")
         if data:
             spec = ScenarioSpec.from_dict(data)
     try:
@@ -198,8 +184,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         print(f"{vehicle}: {route} (cost {solution.costs[vehicle]:g})")
     print(f"objective: {solution.objective:g}")
     if args.out:
-        atomic_write(args.out,
-                     json.dumps(solution.to_dict(), indent=2) + "\n")
+        write_json(args.out, solution.to_dict())
     return 0
 
 
@@ -219,8 +204,6 @@ def cmd_kb(args: argparse.Namespace) -> int:
         raise ConfigError("kb add requires --kb <directory>")
     kb = _load_kb(args.kb)
     data = _read_json(args.exemplar, "exemplar")
-    if not isinstance(data, dict):
-        raise ConfigError(f"exemplar file {args.exemplar}: expected an object")
     ex = Exemplar(
         id=kb.next_exemplar_id() if data.get("id") is None else data["id"],
         description=data.get("description"),

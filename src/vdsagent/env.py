@@ -7,24 +7,18 @@ the shape first, then cross-references, and produces immutable values.
 
 from __future__ import annotations
 
-import json
 import math
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Any, IO
+from typing import Any
 
 from .errors import CrossReferenceError, SchemaError, UnknownCombination
+from .files import read_json
 
 EXPERTISE_LEVELS = ("technician", "engineer", "scientist")
 
 SCENARIO_KINDS = ("road_closure", "forbidden_edge_vehicle", "designated_route")
-
-
-def _read(source: str | IO[str]) -> str:
-    if hasattr(source, "read"):
-        return source.read()
-    return source
 
 
 def _require(obj: dict, key: str, kinds: type | tuple, where: str) -> Any:
@@ -36,6 +30,28 @@ def _require(obj: dict, key: str, kinds: type | tuple, where: str) -> Any:
     if isinstance(value, bool) or not isinstance(value, kinds):
         raise SchemaError(f"{where}.{key}: wrong type {type(value).__name__}")
     return value
+
+
+def _attributes(item: dict, where: str) -> dict[str, Any]:
+    """The free-form `attributes` object of a fleet entry ({} if absent)."""
+    attrs = item.get("attributes", {})
+    if not isinstance(attrs, dict):
+        raise SchemaError(f"{where}.attributes: expected an object")
+    return attrs
+
+
+def _ints(params: dict, key: str, expected: str,
+          size: int | None = None) -> tuple[int, ...] | None:
+    """`params[key]` as a tuple of ints, of exactly `size` when given."""
+    value = params.get(key)
+    if value is None:
+        return None
+    if (not isinstance(value, (list, tuple))
+            or size is not None and len(value) != size
+            or not all(isinstance(n, int) and not isinstance(n, bool)
+                       for n in value)):
+        raise SchemaError(f"scenario.params.{key}: expected {expected}")
+    return tuple(value)
 
 
 @dataclass(frozen=True)
@@ -211,47 +227,19 @@ class ScenarioSpec:
         if self.task is not None and env.fleet.task_by_id(self.task) is None:
             raise CrossReferenceError(f"scenario references unknown task {self.task}")
 
-    def to_dict(self) -> dict[str, Any]:
-        params: dict[str, Any] = {}
-        if self.edge is not None:
-            params["edge"] = list(self.edge)
-        if self.vehicle is not None:
-            params["vehicle"] = self.vehicle
-        if self.task is not None:
-            params["task"] = self.task
-        if self.nodes is not None:
-            params["nodes"] = list(self.nodes)
-        return {"kind": self.kind, "params": params}
-
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "ScenarioSpec":
         kind = _require(data, "kind", str, "scenario")
         params = data.get("params", {})
         if not isinstance(params, dict):
             raise SchemaError("scenario.params: expected an object")
-        edge = params.get("edge")
-        if edge is not None:
-            if (not isinstance(edge, (list, tuple)) or len(edge) != 2
-                    or not all(isinstance(n, int) and not isinstance(n, bool)
-                               for n in edge)):
-                raise SchemaError("scenario.params.edge: expected [int, int]")
-            edge = tuple(edge)
-        nodes = params.get("nodes")
-        if nodes is not None:
-            if (not isinstance(nodes, (list, tuple))
-                    or not all(isinstance(n, int) and not isinstance(n, bool)
-                               for n in nodes)):
-                raise SchemaError("scenario.params.nodes: expected a list of ints")
-            nodes = tuple(nodes)
-        return cls(kind=kind, edge=edge, vehicle=params.get("vehicle"),
-                   task=params.get("task"), nodes=nodes)
+        return cls(kind=kind, edge=_ints(params, "edge", "[int, int]", 2),
+                   vehicle=params.get("vehicle"), task=params.get("task"),
+                   nodes=_ints(params, "nodes", "a list of ints"))
 
 
-def parse_network(text: str | IO[str]) -> Network:
-    try:
-        data = json.loads(_read(text))
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"network: invalid JSON ({exc})") from exc
+def parse_network(text: str) -> Network:
+    data = read_json(text, "network", SchemaError)
     raw_nodes = _require(data, "nodes", list, "network")
     raw_edges = _require(data, "edges", list, "network")
     nodes = []
@@ -276,41 +264,30 @@ def parse_network(text: str | IO[str]) -> Network:
     return Network(nodes=tuple(nodes), edges=tuple(edges))
 
 
-def parse_fleet_config(text: str | IO[str]) -> FleetConfig:
-    try:
-        data = json.loads(_read(text))
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"config: invalid JSON ({exc})") from exc
+def parse_fleet_config(text: str) -> FleetConfig:
+    data = read_json(text, "config", SchemaError)
     raw_agvs = _require(data, "agvs", list, "config")
     raw_tasks = _require(data, "tasks", list, "config")
     agvs = []
     for i, item in enumerate(raw_agvs):
         where = f"config.agvs[{i}]"
-        attrs = item.get("attributes", {}) if isinstance(item, dict) else {}
-        if not isinstance(attrs, dict):
-            raise SchemaError(f"{where}.attributes: expected an object")
-        agvs.append(Agv(id=_require(item, "id", str, where), attributes=attrs))
+        agvs.append(Agv(id=_require(item, "id", str, where),
+                        attributes=_attributes(item, where)))
     tasks = []
     for i, item in enumerate(raw_tasks):
         where = f"config.tasks[{i}]"
-        attrs = item.get("attributes", {}) if isinstance(item, dict) else {}
-        if not isinstance(attrs, dict):
-            raise SchemaError(f"{where}.attributes: expected an object")
         tasks.append(Task(
             id=_require(item, "id", str, where),
             agv=_require(item, "agv", str, where),
             origin=_require(item, "origin", int, where),
             destination=_require(item, "destination", int, where),
-            attributes=attrs,
+            attributes=_attributes(item, where),
         ))
     return FleetConfig(agvs=tuple(agvs), tasks=tuple(tasks))
 
 
-def parse_requirements(text: str | IO[str]) -> Requirements:
-    try:
-        data = json.loads(_read(text))
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"requirements: invalid JSON ({exc})") from exc
+def parse_requirements(text: str) -> Requirements:
+    data = read_json(text, "requirements", SchemaError)
     level = _require(data, "expertise_level", str, "requirements")
     raw = _require(data, "requirements", list, "requirements")
     texts = []
@@ -321,8 +298,8 @@ def parse_requirements(text: str | IO[str]) -> Requirements:
     return Requirements(level=level, texts=tuple(texts))
 
 
-def parse_environment(network_text: str | IO[str], config_text: str | IO[str],
-                      requirements_text: str | IO[str]) -> TerminalEnv:
+def parse_environment(network_text: str, config_text: str,
+                      requirements_text: str) -> TerminalEnv:
     """Parse and cross-validate the three environment documents."""
     return TerminalEnv(
         network=parse_network(network_text),

@@ -1,8 +1,12 @@
-"""Atomic file writes shared by traces, reports and persisted exemplars."""
+"""Atomic file writes and the JSON document format: every JSON document
+the package reads is decoded by `read_json`, every one it writes is
+written by `write_json`."""
 
 from __future__ import annotations
 
+import json
 from pathlib import Path
+from typing import Any
 
 
 def atomic_write(path: str | Path, text: str) -> None:
@@ -16,3 +20,21 @@ def atomic_write(path: str | Path, text: str) -> None:
     tmp = target.with_name(target.name + ".tmp")
     tmp.write_text(text, encoding="utf-8")
     tmp.replace(target)
+
+
+def read_json(text: str, what: str,
+              error: type[Exception]) -> dict[str, Any]:
+    """Decode a document that must be a JSON object, or raise `error`
+    with a message starting `<what>: `."""
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise error(f"{what}: invalid JSON ({exc})") from exc
+    if not isinstance(data, dict):
+        raise error(f"{what}: expected an object, got {type(data).__name__}")
+    return data
+
+
+def write_json(path: str | Path, data: Any) -> None:
+    """Write `data` atomically as 2-space indented JSON and a newline."""
+    atomic_write(path, json.dumps(data, indent=2) + "\n")

@@ -17,11 +17,10 @@ existing results, which retrieval here must never do.
 from __future__ import annotations
 
 import heapq
-import json
 import math
 import re
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from functools import cached_property
 from pathlib import Path
 from typing import Any, Mapping, Sequence
@@ -31,7 +30,7 @@ import yaml
 from . import dsl
 from .env import TerminalEnv, env_digest
 from .errors import ValidationError
-from .files import atomic_write
+from .files import read_json, write_json
 
 PRIMITIVE_CATEGORIES = ("variable_definition", "constraint_formulation",
                         "objective_function")
@@ -42,6 +41,7 @@ BM25_B = 0.75
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 # Exemplar ids name their file, so they must be a plain file stem.
 _EXEMPLAR_ID_RE = re.compile(r"[A-Za-z0-9][A-Za-z0-9._-]*")
+ACCUMULATED_ID_PREFIX = "acc"  # accumulated ids: acc-0001, acc-0002, ...
 
 # term -> (ascending document indexes, occurrences), and document lengths
 Index = tuple[dict[str, tuple[list[int], list[int]]], list[int]]
@@ -149,16 +149,13 @@ class KnowledgeBase:
         if self._index is not None:
             _index_document(self._index, ex.term_counts)
         if self.root is not None:
-            payload = {"id": ex.id, "description": ex.description,
-                       "env_digest": ex.env_digest, "program": ex.program}
-            atomic_write(self.root / "exemplars" / f"{ex.id}.json",
-                         json.dumps(payload, indent=2) + "\n")
+            write_json(self.root / "exemplars" / f"{ex.id}.json", asdict(ex))
 
-    def next_exemplar_id(self, prefix: str = "acc") -> str:
+    def next_exemplar_id(self) -> str:
         n = len(self._exemplars) + 1
-        while f"{prefix}-{n:04d}" in self._ids:
+        while f"{ACCUMULATED_ID_PREFIX}-{n:04d}" in self._ids:
             n += 1
-        return f"{prefix}-{n:04d}"
+        return f"{ACCUMULATED_ID_PREFIX}-{n:04d}"
 
     def bm25_scores(self, query_terms: Sequence[str]) -> list[float]:
         """`bm25_scores` of every exemplar, in store order."""
@@ -204,22 +201,18 @@ def load(path: str | Path) -> KnowledgeBase:
     exdir = root / "exemplars"
     if exdir.is_dir():
         for jf in sorted(exdir.glob("*.json")):
+            data = read_json(jf.read_text(encoding="utf-8"), jf.name,
+                             ValidationError)
+            ex = Exemplar(**{f.name: data.get(f.name)
+                             for f in fields(Exemplar)})
             try:
-                data = json.loads(jf.read_text(encoding="utf-8"))
-            except json.JSONDecodeError as exc:
-                raise ValidationError(f"{jf.name}: invalid JSON ({exc})") from exc
-            if not isinstance(data, dict):
-                raise ValidationError(f"{jf.name}: expected a JSON object")
-            for key in ("id", "description", "env_digest", "program"):
-                if not isinstance(data.get(key), str):
-                    raise ValidationError(f"{jf.name}: needs string field '{key}'")
-            if data["id"] != jf.stem:
+                validate_exemplar(ex)
+            except ValidationError as exc:
+                raise ValidationError(f"{jf.name}: {exc}") from exc
+            if ex.id != jf.stem:
                 # a later append of id == stem would overwrite this file
                 raise ValidationError(
-                    f"{jf.name}: id '{data['id']}' does not match the file name")
-            ex = Exemplar(id=data["id"], description=data["description"],
-                          env_digest=data["env_digest"], program=data["program"])
-            validate_exemplar(ex)
+                    f"{jf.name}: id '{ex.id}' does not match the file name")
             exemplars.append(ex)
     return KnowledgeBase(primitives, exemplars, root=root)
 

@@ -10,7 +10,7 @@ renders as '(none)' rather than disappearing.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Mapping, Protocol, Sequence
 
 from . import dsl

@@ -11,7 +11,6 @@ consults the ground-truth oracle.
 from __future__ import annotations
 
 import dataclasses
-import json
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -20,7 +19,7 @@ from typing import Any
 from . import dsl, llm, solver
 from .env import TerminalEnv, env_digest
 from .errors import ConfigError
-from .files import atomic_write
+from .files import write_json
 from .knowledge import KnowledgeBase, RetrievedContext, accumulate, retrieve
 
 
@@ -94,7 +93,7 @@ class TransferOutcome:
         }
 
     def write_trace(self, path: str | Path) -> None:
-        atomic_write(path, json.dumps(self.to_dict(), indent=2) + "\n")
+        write_json(path, self.to_dict())
 
 
 def is_executed(outcome: TransferOutcome) -> bool:
@@ -182,9 +181,10 @@ def run_transfer(env: TerminalEnv, kb: KnowledgeBase,
             outcome.status = "solved"
             outcome.final_program = record.extracted_program
             outcome.solution = solution
-            if config.accumulate_on_success:
-                accumulate(kb, env, record.extracted_program,
-                           description=" ".join(requirements))
+            description = " ".join(requirements)
+            # blank requirements make no usable exemplar; the solve stands
+            if config.accumulate_on_success and description.strip():
+                accumulate(kb, env, record.extracted_program, description)
                 outcome.accumulated = True
             break
     outcome.total_wall_time = time.monotonic() - run_start

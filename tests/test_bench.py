@@ -162,6 +162,9 @@ class TestSuiteConfig:
         # a repeat would run one instance id twice under one trace file
         {"levels": ("engineer", "engineer", "scientist")},
         {"scenarios": ("road_closure", "designated_route", "road_closure")},
+        # an empty suite would generate and solve oracles, then find no rows
+        {"levels": ()},
+        {"scenarios": ()},
     ])
     def test_validate_rejects(self, kwargs):
         with pytest.raises(ConfigError):

@@ -100,6 +100,17 @@ class TestRun:
         assert main(["run", "--llm", f"mock:{script}"]) == 2
         assert "expected an object" in capsys.readouterr().err
 
+    def test_blank_requirements_solve(self, tmp_path, script_path, capsys):
+        script = script_path("golden.json", golden_flat())
+        reqs = script_path("reqs.json", {"expertise_level": "engineer",
+                                         "requirements": []})
+        trace = tmp_path / "run.trace.json"
+        code = main(["run", "--llm", f"mock:{script}", "--reqs", reqs,
+                     "--trace", str(trace)])
+        assert code == 0
+        assert "status: solved" in capsys.readouterr().out
+        assert json.loads(trace.read_text())["accumulated"] is False
+
     def test_nan_time_limit_exits_two(self, script_path, capsys):
         script = script_path("golden.json", golden_flat())
         code = main(["run", "--llm", f"mock:{script}", "--time-limit", "nan"])
@@ -190,6 +201,18 @@ class TestBench:
                      "--out", str(tmp_path / "out")])
         assert code == 2
         assert "expected a list" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field", ["levels", "scenarios"])
+    def test_suite_file_empty_list_exits_two(self, tmp_path, script_path,
+                                             capsys, field):
+        suite = script_path("suite.json", {field: []})
+        script = script_path("golden.json", inj.golden_script())
+        out = tmp_path / "out"
+        code = main(["bench", "--suite", suite, "--llm", f"mock:{script}",
+                     "--out", str(out)])
+        assert code == 2
+        assert f"{field} must not be empty" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_suite_file_repeated_level_exits_two(self, tmp_path, script_path,
                                                  capsys):

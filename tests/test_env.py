@@ -1,4 +1,3 @@
-import io
 import json
 
 import pytest
@@ -123,13 +122,19 @@ class TestScenarioSpec:
         with pytest.raises(SchemaError):
             ScenarioSpec(**kwargs)
 
-    def test_round_trip(self):
-        for spec in (
-            ScenarioSpec("road_closure", edge=(6, 7)),
-            ScenarioSpec("forbidden_edge_vehicle", vehicle="AGV-4", edge=(5, 6)),
-            ScenarioSpec("designated_route", task="T3", nodes=(6, 10, 11)),
+    def test_from_dict_literal_documents(self):
+        for doc, spec in (
+            ({"kind": "road_closure", "params": {"edge": [6, 7]}},
+             ScenarioSpec("road_closure", edge=(6, 7))),
+            ({"kind": "forbidden_edge_vehicle",
+              "params": {"vehicle": "AGV-4", "edge": [5, 6]}},
+             ScenarioSpec("forbidden_edge_vehicle", vehicle="AGV-4",
+                          edge=(5, 6))),
+            ({"kind": "designated_route",
+              "params": {"task": "T3", "nodes": [6, 10, 11]}},
+             ScenarioSpec("designated_route", task="T3", nodes=(6, 10, 11))),
         ):
-            assert ScenarioSpec.from_dict(spec.to_dict()) == spec
+            assert ScenarioSpec.from_dict(doc) == spec
 
     def test_from_dict_validates_shapes(self):
         with pytest.raises(SchemaError):
@@ -161,10 +166,10 @@ class TestParsing:
         parsed = parse_network(json.dumps(doc))
         assert parsed.lengths() == net.lengths()
 
-    def test_parse_network_accepts_stream(self):
+    def test_parse_network_float_length(self):
         doc = {"nodes": [{"id": 0}, {"id": 1}],
                "edges": [{"source": 0, "target": 1, "length": 2.5}]}
-        parsed = parse_network(io.StringIO(json.dumps(doc)))
+        parsed = parse_network(json.dumps(doc))
         assert parsed.lengths() == {(0, 1): 2.5}
 
     def test_parse_network_bad_json(self):

@@ -501,3 +501,16 @@ class TestAccumulate:
         assert stored.id == "acc-0001"
         assert stored.env_digest == env_digest(env)
         assert stored.description == "closed road transfer"
+
+    def test_persisted_file_text(self, closure_instance, tmp_path):
+        env, _ = closure_instance
+        kb = kn.KnowledgeBase(root=tmp_path)
+        kn.accumulate(kb, env, CLOSURE_EXEMPLAR.program,
+                      description="closed road transfer")
+        expected = json.dumps({
+            "id": "acc-0001", "description": "closed road transfer",
+            "env_digest": env_digest(env),
+            "program": CLOSURE_EXEMPLAR.program}, indent=2) + "\n"
+        text = (tmp_path / "exemplars" / "acc-0001.json").read_text(
+            encoding="utf-8")
+        assert text == expected

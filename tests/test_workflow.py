@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -145,6 +146,19 @@ class TestAccumulation:
         env, _ = closure_instance
         before = len(seed_kb.exemplars)
         outcome = run(env, seed_kb, GOLDEN_CLOSURE)
+        assert not outcome.accumulated
+        assert len(seed_kb.exemplars) == before
+
+    @pytest.mark.parametrize("texts", [(), ("  ", "")])
+    def test_blank_requirements_solve_without_accumulating(
+            self, closure_instance, seed_kb, texts):
+        env, _ = closure_instance
+        env = dataclasses.replace(env, requirements=dataclasses.replace(
+            env.requirements, texts=texts))
+        before = len(seed_kb.exemplars)
+        config = wf.WorkflowConfig(accumulate_on_success=True)
+        outcome = run_with_config(env, seed_kb, GOLDEN_CLOSURE, config)
+        assert outcome.status == "solved"
         assert not outcome.accumulated
         assert len(seed_kb.exemplars) == before
 
