@@ -107,6 +107,16 @@ class Network:
         """`solver.shortest_path`'s route memo for this immutable network."""
         return {}
 
+    @cached_property
+    def digest(self) -> str:
+        """The `nodes (…)` and `edges (…)` lines of `env_digest`."""
+        node_bits = [f"{n.id}:{n.type}" if n.type else str(n.id)
+                     for n in sorted(self.nodes, key=lambda n: n.id)]
+        edge_bits = [f"{e.source}->{e.target}:{e.length:g}" for e in
+                     sorted(self.edges, key=lambda e: (e.source, e.target))]
+        return (f"nodes ({len(node_bits)}): " + " ".join(node_bits) + "\n"
+                + f"edges ({len(edge_bits)}): " + " ".join(edge_bits))
+
 
 @dataclass(frozen=True)
 class Agv:
@@ -125,6 +135,8 @@ class Task:
 
 @dataclass(frozen=True)
 class FleetConfig:
+    """Vehicles and tasks; `digest` is cached, so never mutate `attributes`."""
+
     agvs: tuple[Agv, ...]
     tasks: tuple[Task, ...]
 
@@ -151,6 +163,21 @@ class FleetConfig:
             if t.id == task_id:
                 return t
         return None
+
+    @cached_property
+    def digest(self) -> str:
+        """The `agvs (…)` and `tasks (…)` lines of `env_digest`."""
+        agv_bits = [_tagged(a.id, a.attributes) for a in self.agvs]
+        task_bits = [_tagged(f"{t.id}:{t.agv}:{t.origin}->{t.destination}",
+                             t.attributes) for t in self.tasks]
+        return (f"agvs ({len(agv_bits)}): " + " ".join(agv_bits) + "\n"
+                + f"tasks ({len(task_bits)}): " + " ".join(task_bits))
+
+
+def _tagged(bit: str, attributes: dict[str, Any]) -> str:
+    """`bit[k=v,...]` over the sorted attribute keys, or `bit` if none."""
+    attrs = ",".join(f"{k}={attributes[k]}" for k in sorted(attributes))
+    return f"{bit}[{attrs}]" if attrs else bit
 
 
 @dataclass(frozen=True)
@@ -337,29 +364,11 @@ def env_digest(env: TerminalEnv) -> str:
     """Compact deterministic text rendering of an environment.
 
     Used both inside prompts and as the `env_digest` field of stored
-    exemplars, so it must stay stable across runs.
+    exemplars, so it must stay stable across runs.  Joins the digests
+    cached on the network and the fleet, which relies on the `attributes`
+    dicts never being mutated after construction (nothing here does).
     """
-    lines = []
-    node_bits = []
-    for n in sorted(env.network.nodes, key=lambda n: n.id):
-        node_bits.append(f"{n.id}:{n.type}" if n.type else str(n.id))
-    lines.append(f"nodes ({len(node_bits)}): " + " ".join(node_bits))
-    edge_bits = []
-    for e in sorted(env.network.edges, key=lambda e: (e.source, e.target)):
-        edge_bits.append(f"{e.source}->{e.target}:{e.length:g}")
-    lines.append(f"edges ({len(edge_bits)}): " + " ".join(edge_bits))
-    agv_bits = []
-    for a in env.fleet.agvs:
-        attrs = ",".join(f"{k}={a.attributes[k]}" for k in sorted(a.attributes))
-        agv_bits.append(f"{a.id}[{attrs}]" if attrs else a.id)
-    lines.append(f"agvs ({len(agv_bits)}): " + " ".join(agv_bits))
-    task_bits = []
-    for t in env.fleet.tasks:
-        attrs = ",".join(f"{k}={t.attributes[k]}" for k in sorted(t.attributes))
-        bit = f"{t.id}:{t.agv}:{t.origin}->{t.destination}"
-        task_bits.append(f"{bit}[{attrs}]" if attrs else bit)
-    lines.append(f"tasks ({len(task_bits)}): " + " ".join(task_bits))
-    return "\n".join(lines)
+    return env.network.digest + "\n" + env.fleet.digest
 
 
 def _vehicle_number(vehicle_id: str) -> str:

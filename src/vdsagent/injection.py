@@ -211,16 +211,6 @@ def recovery_script(kind: str = "road_closure") -> dict[str, Any]:
     }
 
 
-def stubborn_script(kind: str = "road_closure",
-                    attempts: int = 3) -> dict[str, Any]:
-    """Every attempt fails the same way (no fenced block at all)."""
-    return {
-        "modeler": [MODELER_SCHEMES[kind]] * attempts,
-        "coder": ["I cannot produce a program for this request."] * attempts,
-        "debugger": [RECOVERY_REFLECTION] * max(0, attempts - 1),
-    }
-
-
 RAG_MARKER = "## Modeling primitives"
 
 UNGROUNDED_PROGRAM = """\

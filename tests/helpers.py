@@ -6,7 +6,8 @@ these functions can serve as ground truth for exactness tests.
 `path_heap_dijkstra` is the solver's earlier search, kept as the
 reference for graphs too large to enumerate; `list_count_bm25` is the
 retriever's earlier scorer, which re-counts every term in each token
-list.
+list.  `rendered_env_digest`, `regex_tokenize` and `key_function_top_k`
+are the earlier digest renderer, tokenizer and top-k ranking.
 """
 
 from __future__ import annotations
@@ -14,10 +15,14 @@ from __future__ import annotations
 import heapq
 import math
 import random
+import re
 import string
 from fractions import Fraction
+from typing import Any, Sequence
 
 from vdsagent import dsl
+from vdsagent.env import TerminalEnv
+from vdsagent.injection import MODELER_SCHEMES, RECOVERY_REFLECTION
 from vdsagent.knowledge import BM25_B, BM25_K1
 
 EdgeMap = dict[tuple[int, int], float]
@@ -214,3 +219,50 @@ def list_count_bm25(query_terms: list[str],
             score += idf * freq * (BM25_K1 + 1.0) / norm
         scores.append(score)
     return scores
+
+
+def rendered_env_digest(env: TerminalEnv) -> str:
+    """`env_digest` rendered from scratch, line by line."""
+    lines = []
+    node_bits = []
+    for n in sorted(env.network.nodes, key=lambda n: n.id):
+        node_bits.append(f"{n.id}:{n.type}" if n.type else str(n.id))
+    lines.append(f"nodes ({len(node_bits)}): " + " ".join(node_bits))
+    edge_bits = []
+    for e in sorted(env.network.edges, key=lambda e: (e.source, e.target)):
+        edge_bits.append(f"{e.source}->{e.target}:{e.length:g}")
+    lines.append(f"edges ({len(edge_bits)}): " + " ".join(edge_bits))
+    agv_bits = []
+    for a in env.fleet.agvs:
+        attrs = ",".join(f"{k}={a.attributes[k]}" for k in sorted(a.attributes))
+        agv_bits.append(f"{a.id}[{attrs}]" if attrs else a.id)
+    lines.append(f"agvs ({len(agv_bits)}): " + " ".join(agv_bits))
+    task_bits = []
+    for t in env.fleet.tasks:
+        attrs = ",".join(f"{k}={t.attributes[k]}" for k in sorted(t.attributes))
+        bit = f"{t.id}:{t.agv}:{t.origin}->{t.destination}"
+        task_bits.append(f"{bit}[{attrs}]" if attrs else bit)
+    lines.append(f"tasks ({len(task_bits)}): " + " ".join(task_bits))
+    return "\n".join(lines)
+
+
+def regex_tokenize(text: str) -> list[str]:
+    """Retrieval tokens as a regex finds them."""
+    return re.findall(r"[a-z0-9]+", text.lower())
+
+
+def key_function_top_k(scores: Sequence[float], ids: Sequence[str],
+                       k: int) -> list[int]:
+    """Indexes of the k best scores, ties by id, ranked by a key function."""
+    return heapq.nsmallest(k, range(len(scores)),
+                           key=lambda i: (-scores[i], ids[i]))
+
+
+def stubborn_script(kind: str = "road_closure",
+                    attempts: int = 3) -> dict[str, Any]:
+    """Every attempt fails the same way (no fenced block at all)."""
+    return {
+        "modeler": [MODELER_SCHEMES[kind]] * attempts,
+        "coder": ["I cannot produce a program for this request."] * attempts,
+        "debugger": [RECOVERY_REFLECTION] * max(0, attempts - 1),
+    }

@@ -303,7 +303,7 @@ def test_criterion_7_self_correction():
     def bound_holds(max_iter, failures):
         cfg = wf.WorkflowConfig(max_iterations=max_iter,
                                 accumulate_on_success=False)
-        backend = llm.MockBackend(inj.stubborn_script(attempts=failures))
+        backend = llm.MockBackend(helpers.stubborn_script(attempts=failures))
         result = wf.run_transfer(env, load_seed_kb(), cfg, backend)
         assert result.iterations <= cfg.max_iterations
         assert result.status == "exhausted"

@@ -2,11 +2,13 @@ import json
 import math
 import random
 from collections import Counter
+from functools import cached_property
 
 import pytest
 
 from vdsagent import bench, dsl, injection as inj, llm, solver
 from vdsagent import workflow as wf
+from vdsagent.env import FleetConfig, Network
 from vdsagent.errors import ConfigError
 from vdsagent.instances import generate_instances
 from vdsagent.knowledge import load_seed_kb
@@ -333,6 +335,23 @@ class TestRunBenchmark:
         assert fresh["other"] > 0
         assert fresh["oracle"] == 0
         assert fresh["transfer"] == 0
+
+    def test_digests_render_once_per_network_and_fleet(self, monkeypatch):
+        # a golden suite holds 3 networks and 15 fleets; every level's
+        # transfer and accumulation joins their cached digests
+        renders = Counter()
+        for owner in (Network, FleetConfig):
+            def counted(obj, render=owner.digest.func, name=owner.__name__):
+                renders[name] += 1
+                return render(obj)
+            digest = cached_property(counted)
+            digest.__set_name__(owner, "digest")
+            monkeypatch.setattr(owner, "digest", digest)
+        report = bench.run_benchmark(
+            bench.SuiteConfig(seed=3), load_seed_kb(),
+            bench.scripted_provider(inj.golden_script()))
+        assert report["aggregates"]["overall"]["ssr"] == 1.0
+        assert renders == {"Network": 3, "FleetConfig": 15}
 
     def test_empty_levels_rejected_by_stats_absence(self):
         report = bench.run_benchmark(

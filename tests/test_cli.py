@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import helpers
 from vdsagent import injection as inj
 from vdsagent import solver
 from vdsagent.cli import (DEFAULT_CONFIG_FILE, DEFAULT_NETWORK_FILE,
@@ -46,7 +47,7 @@ class TestRun:
         assert len(payload["paths"]) == 30
 
     def test_exhausted_run_exits_one(self, tmp_path, script_path, capsys):
-        script = script_path("stubborn.json", inj.stubborn_script())
+        script = script_path("stubborn.json", helpers.stubborn_script())
         trace = tmp_path / "run.trace.json"
         code = main(["run", "--llm", f"mock:{script}", "--trace", str(trace)])
         assert code == 1
@@ -63,7 +64,7 @@ class TestRun:
         assert "must map to lists" in capsys.readouterr().err
 
     def test_no_self_correction_flag(self, script_path, capsys):
-        script = script_path("stubborn.json", inj.stubborn_script())
+        script = script_path("stubborn.json", helpers.stubborn_script())
         code = main(["run", "--llm", f"mock:{script}", "--no-self-correction"])
         assert code == 1
         assert "iterations: 1" in capsys.readouterr().out
@@ -71,7 +72,7 @@ class TestRun:
     @pytest.mark.parametrize("max_iter", ("0", "-2"))
     def test_no_self_correction_keeps_budget_check(self, script_path, capsys,
                                                    max_iter):
-        script = script_path("stubborn.json", inj.stubborn_script())
+        script = script_path("stubborn.json", helpers.stubborn_script())
         code = main(["run", "--llm", f"mock:{script}", "--max-iter", max_iter,
                      "--no-self-correction"])
         assert code == 2

@@ -2,12 +2,17 @@ import json
 
 import pytest
 
-from vdsagent.env import (Agv, Edge, FleetConfig, Network, Node, Requirements,
+import helpers
+from vdsagent.cli import (DEFAULT_CONFIG_FILE, DEFAULT_NETWORK_FILE,
+                          DEFAULT_REQUIREMENTS_FILE)
+from vdsagent.env import (EXPERTISE_LEVELS, SCENARIO_KINDS, Agv, Edge,
+                          FleetConfig, Network, Node, Requirements,
                           ScenarioSpec, Task, TerminalEnv, default_network,
                           env_digest, parse_environment, parse_fleet_config,
                           parse_network, parse_requirements, scenario_prompt)
 from vdsagent.errors import (CrossReferenceError, SchemaError,
                              UnknownCombination)
+from vdsagent.instances import generate_instances, with_level
 
 
 def triangle():
@@ -244,6 +249,49 @@ class TestDigest:
     def test_digest_reflects_attributes(self, forbidden_instance):
         env, _ = forbidden_instance
         assert "AGV-4[over_height=True]" in env_digest(env)
+
+    def test_default_grid_matches_rendering(self):
+        env = parse_environment(
+            *(path.read_text(encoding="utf-8") for path in (
+                DEFAULT_NETWORK_FILE, DEFAULT_CONFIG_FILE,
+                DEFAULT_REQUIREMENTS_FILE)))
+        assert env.network == default_network()
+        assert env_digest(env) == helpers.rendered_env_digest(env)
+
+    @pytest.mark.parametrize("seed", [1, 3, 11, 42])
+    def test_generated_instances_match_rendering(self, seed):
+        for kind in SCENARIO_KINDS:
+            for base, spec in generate_instances(seed, kind, 5):
+                for level in EXPERTISE_LEVELS:
+                    env = with_level(base, spec, level)
+                    assert env_digest(env) == helpers.rendered_env_digest(env)
+
+    def test_typed_nodes_floats_and_attributes_match_rendering(self):
+        nodes = (Node(2, "quay"), Node(0), Node(1, "yard"))
+        edges = (Edge(1, 0, 1e-7), Edge(0, 1, 10.5), Edge(2, 1, 3),
+                 Edge(1, 2, 2.25e12))
+        fleet = FleetConfig(
+            agvs=(Agv("A2", {"over_height": True, "battery": 0.5}), Agv("A1")),
+            tasks=(Task("T1", "A2", 0, 2, {"hazard": "class 3", "w": 1}),
+                   Task("T0", "A1", 2, 0)))
+        env = TerminalEnv(Network(nodes, edges), fleet,
+                          Requirements("engineer", ()))
+        digest = env_digest(env)
+        assert digest == helpers.rendered_env_digest(env)
+        assert "1->0:1e-07" in digest and "0->1:10.5" in digest
+        assert "A2[battery=0.5,over_height=True]" in digest
+        assert "T1:A2:0->2[hazard=class 3,w=1]" in digest
+
+    def test_equal_networks_and_fleets_render_their_own(self):
+        def fleet():
+            return FleetConfig((Agv("A", {"k": 1}),), (Task("T", "A", 0, 2),))
+        for first, second in ((triangle(), triangle()), (fleet(), fleet())):
+            assert first == second and first is not second
+            rendered = first.digest
+            assert first.digest is rendered
+            assert "digest" not in vars(second)
+            assert second.digest == rendered
+            assert "digest" in vars(second)
 
 
 class TestScenarioPrompt:

@@ -3,6 +3,7 @@ import json
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import helpers
 from vdsagent import knowledge as kn
@@ -60,6 +61,25 @@ class TestTokenize:
     def test_lowercase_alnum_runs(self):
         assert kn.tokenize('Remove_edge (6, 7) "AGV-4"!') == \
             ["remove", "edge", "6", "7", "agv", "4"]
+
+    @pytest.mark.parametrize("text", [
+        "\u212a",                      # Kelvin sign, lowercases to ASCII k
+        "\u0130stanbul",               # dotted capital I: i + combining dot
+        "\uff11\uff12 gate\uff13",     # full-width digits are separators
+        "a\ud800b",                    # lone surrogate
+        "x\x00y\tz\n\r\n7 \x00",       # NUL, tabs and newlines
+        "", "   ", "AGV-4\u00e9t\u00e9",
+    ])
+    def test_matches_regex_on_edge_cases(self, text):
+        assert kn.tokenize(text) == helpers.regex_tokenize(text)
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.text(st.one_of(
+        st.sampled_from("aZ09 _-.\t\n\x00"),
+        st.characters(exclude_categories=()))))
+    @example("\u212a\u0130\ud800\uff10")
+    def test_matches_regex(self, text):
+        assert kn.tokenize(text) == helpers.regex_tokenize(text)
 
 
 class TestValidateExemplar:
@@ -318,6 +338,25 @@ class TestRetrieve:
         kb = kn.KnowledgeBase(exemplars=(twin_b, twin_a))
         ctx = kn.retrieve(kb, "identical words", 2)
         assert [e.id for e in ctx.exemplars] == ["a-twin", "b-twin"]
+
+
+class TestTopK:
+    """Ranking only the candidates that reach the k-th best score."""
+
+    @pytest.mark.parametrize("seed", range(25))
+    def test_matches_key_function_ranking(self, seed):
+        rng = random.Random(seed)
+        n = rng.randint(1, 30)
+        ids = [f"ex-{i:03d}" for i in rng.sample(range(1000), n)]
+        scores = [rng.choice((0.0, 0.0, 0.5, 1.25, 3.0)) for _ in range(n)]
+        kb = kn.KnowledgeBase(
+            exemplars=[kn.Exemplar(i, "d", "", VALID_PROGRAM) for i in ids])
+        kb.bm25_scores = lambda _terms: scores
+        for k in (0, 1, 3, n, n + 2):
+            ctx = kn.retrieve(kb, "query", k)
+            top = helpers.key_function_top_k(scores, ids, k)
+            assert [e.id for e in ctx.exemplars] == [ids[i] for i in top]
+            assert ctx.scores == tuple(scores[i] for i in top)
 
 
 def ranked_by_reference(kb, query, k):

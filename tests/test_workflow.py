@@ -4,6 +4,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import helpers
 from vdsagent import injection as inj
 from vdsagent import llm, solver, workflow as wf
 from vdsagent.errors import ConfigError
@@ -89,7 +90,7 @@ class TestRecovery:
 class TestExhaustion:
     def test_stubborn_run_exhausts(self, closure_instance, seed_kb):
         env, _ = closure_instance
-        outcome = run(env, seed_kb, inj.stubborn_script())
+        outcome = run(env, seed_kb, helpers.stubborn_script())
         assert outcome.status == "exhausted"
         assert outcome.iterations == 3
         assert not wf.is_executed(outcome)
@@ -103,7 +104,7 @@ class TestExhaustion:
     def test_no_self_correction_single_attempt(self, closure_instance,
                                                seed_kb):
         env, _ = closure_instance
-        script = inj.stubborn_script(attempts=1)
+        script = helpers.stubborn_script(attempts=1)
         outcome = run(env, seed_kb, script, max_iterations=1)
         assert outcome.status == "exhausted"
         assert outcome.iterations == 1
@@ -166,7 +167,7 @@ class TestAccumulation:
         env, _ = closure_instance
         before = len(seed_kb.exemplars)
         config = wf.WorkflowConfig(accumulate_on_success=True)
-        outcome = run_with_config(env, seed_kb, inj.stubborn_script(), config)
+        outcome = run_with_config(env, seed_kb, helpers.stubborn_script(), config)
         assert not outcome.accumulated
         assert len(seed_kb.exemplars) == before
 
@@ -243,7 +244,7 @@ class TestIterationBound:
         from vdsagent.knowledge import load_seed_kb
 
         env, _ = generate_instances(42, "road_closure", 1)[0]
-        script = inj.stubborn_script(attempts=4)
+        script = helpers.stubborn_script(attempts=4)
         outcome = run(env, load_seed_kb(), script, max_iterations=max_iter)
         assert outcome.status == "exhausted"
         assert outcome.iterations == max_iter
@@ -279,5 +280,5 @@ class TestTrace:
 
     def test_to_dict_is_json_serializable(self, closure_instance, seed_kb):
         env, _ = closure_instance
-        outcome = run(env, seed_kb, inj.stubborn_script())
+        outcome = run(env, seed_kb, helpers.stubborn_script())
         json.dumps(outcome.to_dict())
