@@ -11,7 +11,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Any
+from typing import Any, Iterable
 
 from .errors import CrossReferenceError, SchemaError, UnknownCombination
 from .files import read_json
@@ -67,6 +67,20 @@ class Edge:
     length: float
 
 
+Links = dict[int, tuple[Edge, ...]]
+
+
+def index_links(edges: Iterable[Edge]) -> tuple[Links, Links]:
+    """Each node's outgoing links sorted by target, incoming by source."""
+    succ: dict[int, list[Edge]] = {}
+    pred: dict[int, list[Edge]] = {}
+    for e in sorted(edges, key=lambda link: (link.target, link.source)):
+        succ.setdefault(e.source, []).append(e)
+        pred.setdefault(e.target, []).append(e)
+    return ({u: tuple(out) for u, out in succ.items()},
+            {v: tuple(into) for v, into in pred.items()})
+
+
 @dataclass(frozen=True)
 class Network:
     """Directed road graph.  Validated on construction."""
@@ -101,6 +115,11 @@ class Network:
     def lengths(self) -> dict[tuple[int, int], float]:
         """Directed edge -> length mapping."""
         return {(e.source, e.target): e.length for e in self.edges}
+
+    @cached_property
+    def adjacency(self) -> tuple[Links, Links]:
+        """`index_links` over this network's own `Edge` objects."""
+        return index_links(self.edges)
 
     @cached_property
     def routes(self) -> dict[tuple, tuple[float, tuple[int, ...]]]:

@@ -132,21 +132,14 @@ def _pinned_exact_path(env: TerminalEnv, spec: ScenarioSpec) -> str:
               if optimal[i:i + k] == nodes)
     hinge = nodes[-1]
     used = set(zip(optimal, optimal[1:]))
-    lengths = env.network.lengths()
-    bounce = None
-    for (u, v) in sorted(lengths):
-        if u != hinge:
-            continue
-        if (hinge, v) in used or (v, hinge) in used:
-            continue
-        if (v, hinge) not in lengths:
-            continue
-        bounce = v
-        break
-    if bounce is None:
+    succ, pred = env.network.adjacency
+    back = {e.source for e in pred.get(hinge, ())}
+    free = [v for v in (e.target for e in succ.get(hinge, ()))
+            if v in back and (hinge, v) not in used and (v, hinge) not in used]
+    if not free:
         raise ConfigError("no bounce neighbor free at the forced segment")
     cut = at + k
-    pinned = optimal[:cut] + (bounce, hinge) + optimal[cut:]
+    pinned = optimal[:cut] + (free[0], hinge) + optimal[cut:]
     seq = ", ".join(str(n) for n in pinned)
     return (f"model designated_transfer\n"
             f"objective minimize total_travel_time\n"

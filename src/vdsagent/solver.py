@@ -8,10 +8,13 @@ node sequence wins, which makes every result deterministic.
 
 `bind` (from a program) and `scenario_constraints` (from a scenario)
 fill one `Constraints` record, which alone builds vehicle problems.
-A network's links are indexed once, in a `RoadGraph`, and each vehicle
-gets a view without its removed links.  A search runs Dijkstra from the
-target over reversed links until the source settles, then walks forward
-from the source, always to the smallest neighbour on a shortest route.
+A network's links are indexed once, in `Network.adjacency`: per node,
+the network's own outgoing `Edge` objects sorted by target and incoming
+ones sorted by source.  Every `RoadGraph` of it shares those tuples, and
+each vehicle gets a view without its removed links.  A search runs
+Dijkstra from the target over reversed links until the source settles,
+then walks forward from the source, always to the smallest neighbour on
+a shortest route.
 
 Found routes are memoized on the `env.Network` a graph comes from, keyed
 by (removed links, source, target) and kept as long as that network
@@ -30,7 +33,7 @@ from dataclasses import dataclass, field
 from typing import Any, Iterable
 
 from . import dsl
-from .env import Network, ScenarioSpec, TerminalEnv
+from .env import Edge, Links, Network, ScenarioSpec, TerminalEnv, index_links
 from .errors import ConfigError, VdsAgentError
 
 DEFAULT_TIME_LIMIT = 300.0
@@ -48,63 +51,64 @@ CLOCK_EVERY = 256
 _now = time.monotonic  # patched in tests to exercise the timeout path
 
 EdgeMap = Mapping[tuple[int, int], float]
-_Adjacency = dict[int, list[tuple[int, float]]]
 
 
 class RoadGraph(EdgeMap):
     """Read-only map (u, v) -> length: a network's links minus `removed`.
 
-    The lengths and the successor and predecessor lists, sorted by node,
-    are built once and shared by every view `without` derives, so a
-    vehicle's graph costs only the links it loses.  So is the route memo:
-    the network's for `RoadGraph.of`, a private one otherwise.
+    The link tuples of `env.index_links` are shared by every view
+    `without` derives, so a vehicle's graph costs only the links it loses.
+    So is the route memo.  `RoadGraph.of` takes both from the network; a
+    graph from a plain mapping indexes it and keeps a private memo.  There
+    is no length dict: looking up (u, v) scans u's successor tuple.
     """
 
     def __init__(self, lengths: EdgeMap):
-        self._lengths = dict(lengths)
-        self._succ: _Adjacency = {}
-        self._pred: _Adjacency = {}
-        for (u, v), w in self._lengths.items():
-            self._succ.setdefault(u, []).append((v, w))
-            self._pred.setdefault(v, []).append((u, w))
-        for adjacent in (*self._succ.values(), *self._pred.values()):
-            adjacent.sort()
+        self._succ, self._pred = index_links(
+            Edge(u, v, w) for (u, v), w in lengths.items())
         self.removed: frozenset[tuple[int, int]] = frozenset()
-        # adjacency lists of the nodes a removed link touches, filtered
-        self._cut_succ: _Adjacency = {}
-        self._cut_pred: _Adjacency = {}
+        # link tuples of the nodes a removed link touches, filtered
+        self._cut_succ: Links = {}
+        self._cut_pred: Links = {}
         self._routes: dict[tuple, tuple[float, tuple[int, ...]]] = {}
 
     @classmethod
     def of(cls, network: Network) -> RoadGraph:
-        """The network's links, indexed, with the network's route memo."""
-        graph = cls(network.lengths())
+        """The network's shared adjacency and route memo."""
+        graph = cls({})
+        graph._succ, graph._pred = network.adjacency
         graph._routes = network.routes
         return graph
 
     def without(self, edges: Iterable[tuple[int, int]]) -> RoadGraph:
         """A view that also lacks `edges`; links not in it are ignored."""
-        gone = self.removed.union(e for e in edges if e in self._lengths)
+        gone = self.removed.union(e for e in edges if e in self)
         if gone == self.removed:
             return self
         view = copy.copy(self)
         view.removed = gone
-        view._cut_succ = {u: [(v, w) for v, w in self._succ[u]
-                              if (u, v) not in gone] for u, _ in gone}
-        view._cut_pred = {v: [(u, w) for u, w in self._pred[v]
-                              if (u, v) not in gone] for _, v in gone}
+        view._cut_succ = {u: tuple(e for e in self._succ[u]
+                                   if (u, e.target) not in gone)
+                          for u, _ in gone}
+        view._cut_pred = {v: tuple(e for e in self._pred[v]
+                                   if (e.source, v) not in gone)
+                          for _, v in gone}
         return view
 
     def __getitem__(self, edge: tuple[int, int]) -> float:
-        if edge in self.removed:
-            raise KeyError(edge)
-        return self._lengths[edge]
+        if edge not in self.removed:
+            for link in self._succ.get(edge[0], ()):
+                if link.target == edge[1]:
+                    return link.length
+        raise KeyError(edge)
 
     def __iter__(self) -> Iterator[tuple[int, int]]:
-        return (e for e in self._lengths if e not in self.removed)
+        links = ((e.source, e.target)
+                 for out in self._succ.values() for e in out)
+        return (edge for edge in links if edge not in self.removed)
 
     def __len__(self) -> int:
-        return len(self._lengths) - len(self.removed)
+        return sum(map(len, self._succ.values())) - len(self.removed)
 
 
 class SolveError(VdsAgentError):
@@ -246,8 +250,8 @@ def _search(graph: RoadGraph, source: int, target: int,
         if node == source:
             break
         into = cut_pred[node] if node in cut_pred else pred.get(node, ())
-        for prev, w in into:
-            nd = d + w
+        for link in into:
+            prev, nd = link.source, d + link.length
             if nd < dist.get(prev, math.inf):
                 dist[prev] = nd
                 heapq.heappush(heap, (nd, prev))
@@ -259,11 +263,12 @@ def _search(graph: RoadGraph, source: int, target: int,
     node = source
     while node != target:
         here, limit = dist[node], rank[node]
-        for nxt, w in (cut_succ[node] if node in cut_succ else succ[node]):
-            if rank.get(nxt, limit) < limit and w + dist[nxt] == here:
+        for link in (cut_succ[node] if node in cut_succ else succ[node]):
+            nxt = link.target
+            if rank.get(nxt, limit) < limit and link.length + dist[nxt] == here:
                 break
         path.append(nxt)
-        cost += w
+        cost += link.length
         node = nxt
     return cost, tuple(path)
 

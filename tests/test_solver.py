@@ -6,7 +6,8 @@ import pytest
 
 from helpers import (grid_edges, min_simple_path, min_walk, path_cost,
                      path_heap_dijkstra)
-from vdsagent import dsl
+from vdsagent import bench, dsl
+from vdsagent import injection as inj
 from vdsagent import solver as sv
 from vdsagent.env import (SCENARIO_KINDS, Agv, FleetConfig, Network, Node, Edge,
                           Requirements, ScenarioSpec, Task, TerminalEnv,
@@ -14,6 +15,7 @@ from vdsagent.env import (SCENARIO_KINDS, Agv, FleetConfig, Network, Node, Edge,
 from vdsagent.errors import ConfigError
 from vdsagent.injection import CORRECT_PROGRAMS
 from vdsagent.instances import fixed_scenario, generate_instances
+from vdsagent.knowledge import load_seed_kb
 
 
 def triangle_edges():
@@ -234,6 +236,111 @@ class TestRouteMemo:
             assert exc.value.kind == "infeasible"
         assert network.routes == {}
         assert searches == [(1, 0), (1, 0)]
+
+
+
+def random_digraph(rng):
+    """Node ids, a link -> length map and an equal network with extra nodes.
+
+    Ids are sparse, lengths mix integers with 10.5, 2.25 and 1e-7, links
+    leave some nodes without out-links or in-links, and the network also
+    holds isolated nodes and lists its edges in shuffled order.
+    """
+    ids = rng.sample(range(3, 5000, 13), rng.randrange(2, 12))
+    pairs = [(u, v) for u in ids for v in ids if u != v]
+    links = rng.sample(pairs, rng.randrange(0, len(pairs) // 2 + 1))
+    lengths = {e: rng.choice((1, 3, 10.5, 2.25, 1e-7, rng.randrange(1, 40)))
+               for e in links}
+    edges = [Edge(u, v, w) for (u, v), w in lengths.items()]
+    rng.shuffle(edges)
+    extra = (Node(n) for n in rng.sample(range(5001, 5100), 2))
+    network = Network(nodes=(*(Node(n) for n in ids), *extra),
+                      edges=tuple(edges))
+    return ids, lengths, network
+
+
+class TestSharedIndex:
+    def test_graphs_and_views_share_the_networks_adjacency(self):
+        network = default_network()
+        succ, pred = network.adjacency
+        graphs = [sv.RoadGraph.of(network), sv.RoadGraph.of(network)]
+        cuts = ((), {(6, 7)}, {(6, 7), (7, 6)}, {(0, 1), (98, 99)})
+        for graph in list(graphs):
+            graphs += [graph.without(cut) for cut in cuts]
+            graphs.append(graph.without({(6, 7)}).without({(5, 6)}))
+        for graph in graphs:
+            assert graph._succ is succ and graph._pred is pred
+        # the tuples hold the network's own Edge objects, each once per side
+        for side in (succ, pred):
+            held = [e for links in side.values() for e in links]
+            assert sorted(map(id, held)) == sorted(map(id, network.edges))
+        assert all(tuple(e.target for e in links)
+                   == tuple(sorted(e.target for e in links))
+                   for links in succ.values())
+        assert all(tuple(e.source for e in links)
+                   == tuple(sorted(e.source for e in links))
+                   for links in pred.values())
+
+    def test_golden_suite_indexes_each_network_once(self, monkeypatch):
+        # 3 instance generations, 15 oracle solves and 45 binds
+        networks, indexes = [], []
+        of = sv.RoadGraph.of.__func__
+
+        def recorded(cls, network):
+            graph = of(cls, network)
+            networks.append(network)
+            indexes.append(graph._succ)
+            return graph
+
+        monkeypatch.setattr(sv.RoadGraph, "of", classmethod(recorded))
+        report = bench.run_benchmark(
+            bench.SuiteConfig(seed=3), load_seed_kb(),
+            bench.scripted_provider(inj.golden_script()))
+        assert report["aggregates"]["overall"]["ssr"] == 1.0
+        assert len(indexes) == 63
+        assert len({id(network) for network in networks}) == 3
+        assert len({id(index) for index in indexes}) == 3
+
+    def test_views_behave_as_filtered_mappings(self):
+        rng = random.Random(12)
+        for _ in range(200):
+            ids, lengths, network = random_digraph(rng)
+            absent = [(u, v) for u in ids for v in ids
+                      if u != v and (u, v) not in lengths][:3]
+            absent += [(ids[0], 5200), (5201, 5202)]
+            for base in (sv.RoadGraph.of(network), sv.RoadGraph(lengths)):
+                assert dict(base) == lengths and len(base) == len(lengths)
+                for _ in range(3):
+                    cut = set(rng.sample(sorted(lengths),
+                                         rng.randrange(0, len(lengths) + 1)))
+                    cut.update(rng.sample(absent, 2))
+                    view = base.without(cut)
+                    expected = {e: w for e, w in lengths.items()
+                                if e not in cut}
+                    assert dict(view) == expected
+                    assert len(view) == len(expected)
+                    for edge in (*lengths, *absent):
+                        assert (edge in view) == (edge in expected)
+                        if edge in expected:
+                            assert view[edge] == expected[edge]
+                        else:
+                            with pytest.raises(KeyError):
+                                view[edge]
+                    more = set(rng.sample(sorted(expected),
+                                          min(2, len(expected))))
+                    assert dict(view.without(more)) == {
+                        e: w for e, w in expected.items() if e not in more}
+                    nodes = [n.id for n in network.nodes]
+                    for _ in range(4):
+                        source, target = rng.sample(nodes, 2)
+                        route = path_heap_dijkstra(expected, source, target)
+                        if route is None:
+                            with pytest.raises(sv.SolveError) as exc:
+                                sv.shortest_path(view, source, target)
+                            assert exc.value.kind == "infeasible"
+                        else:
+                            assert sv.shortest_path(view, source,
+                                                    target) == route
 
 
 def single(problem):
