@@ -6,7 +6,7 @@ The knowledge base holds two kinds of entries: modeling primitives
 (how to express variables, constraints, objectives in the language)
 and solved exemplars (requirement text plus the program that solved
 it). Primitives always ride along; exemplars are ranked by BM25
-against the incoming requirement.
+against the terms of the incoming requirement.
 """
 
 from vdsagent import knowledge as kb_mod
@@ -22,13 +22,15 @@ for prim in kb.primitives:
 for ex in kb.exemplars:
     print(f"  exemplar  {ex.id}: {ex.description}")
 
-# BM25 works on whitespace-and-punctuation tokens, lowercased.
+# BM25 works on whitespace-and-punctuation tokens, lowercased; a query
+# is its set of tokens, not the text.
 query = "The road between node 6 and node 7 is closed."
-print("\nquery tokens:", kb_mod.tokenize(query))
+terms = kb_mod.tokenize(query)
+print("\nquery tokens:", terms)
 
 # Retrieval returns every primitive plus the top-k exemplars with
 # their scores.
-ctx = kb_mod.retrieve(kb, query, k=1)
+ctx = kb_mod.retrieve(kb, terms, k=1)
 for ex, score in zip(ctx.exemplars, ctx.scores):
     print(f"top exemplar: {ex.id} (score {score:.4f})")
 
@@ -44,5 +46,6 @@ print(f"\nafter accumulate: {len(grown.exemplars)} exemplars, "
       f"newest id {grown.exemplars[-1].id}")
 assert grown.exemplars[-1].env_digest == env_digest(env)
 
-again = kb_mod.retrieve(grown, "closed segment near the quay", k=2)
+again = kb_mod.retrieve(grown, kb_mod.tokenize("closed segment near the quay"),
+                       k=2)
 print("re-query ranks:", [ex.id for ex in again.exemplars])

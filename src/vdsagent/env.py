@@ -20,6 +20,20 @@ EXPERTISE_LEVELS = ("technician", "engineer", "scientist")
 
 SCENARIO_KINDS = ("road_closure", "forbidden_edge_vehicle", "designated_route")
 
+# Byte table mapping everything but 0-9 and a-z to a space.
+_SEPARATORS = bytes(c if 48 <= c <= 57 or 97 <= c <= 122 else 32
+                    for c in range(256))
+
+
+def tokenize(text: str) -> list[str]:
+    """The runs of `[a-z0-9]` in `text.lower()`, in one C-level pass.
+
+    Every non-ASCII code point left after lowering becomes `?` and then
+    a separator, as it is for `re.findall("[a-z0-9]+", text.lower())`.
+    """
+    return (text.lower().encode("ascii", "replace").translate(_SEPARATORS)
+            .decode("ascii").split())
+
 
 def _require(obj: dict, key: str, kinds: type | tuple, where: str) -> Any:
     if not isinstance(obj, dict):
@@ -110,6 +124,11 @@ class Network:
             seen.add(key)
 
     def node_ids(self) -> frozenset[int]:
+        """This network's node ids, one frozenset per network."""
+        return self._node_ids
+
+    @cached_property
+    def _node_ids(self) -> frozenset[int]:
         return frozenset(n.id for n in self.nodes)
 
     def lengths(self) -> dict[tuple[int, int], float]:
@@ -135,6 +154,11 @@ class Network:
                      sorted(self.edges, key=lambda e: (e.source, e.target))]
         return (f"nodes ({len(node_bits)}): " + " ".join(node_bits) + "\n"
                 + f"edges ({len(edge_bits)}): " + " ".join(edge_bits))
+
+    @cached_property
+    def digest_terms(self) -> frozenset[str]:
+        """The distinct `tokenize` terms of `digest`."""
+        return frozenset(tokenize(self.digest))
 
 
 @dataclass(frozen=True)
@@ -191,6 +215,11 @@ class FleetConfig:
                              t.attributes) for t in self.tasks]
         return (f"agvs ({len(agv_bits)}): " + " ".join(agv_bits) + "\n"
                 + f"tasks ({len(task_bits)}): " + " ".join(task_bits))
+
+    @cached_property
+    def digest_terms(self) -> frozenset[str]:
+        """The distinct `tokenize` terms of `digest`."""
+        return frozenset(tokenize(self.digest))
 
 
 def _tagged(bit: str, attributes: dict[str, Any]) -> str:

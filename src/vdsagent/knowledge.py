@@ -3,10 +3,11 @@
 Primitives are markdown files with YAML front-matter (id, category,
 title); exemplars are one-JSON-file-per-entry so accumulated knowledge
 stays reviewable.  Retrieval is lexical BM25 (k1=1.2, b=0.75) over the
-lowercased, punctuation-split text of description + program.  A base
-keeps an inverted index (term -> exemplars and occurrences), built on
-its first retrieval and extended by appends, so a query reads only the
-postings of its own terms (Zobel & Moffat 2006).
+lowercased, punctuation-split text of description + program.  A query is
+a set of terms, not text (`query_terms`).  A base keeps an inverted index
+(term -> exemplars and occurrences), built on its first retrieval and
+extended by appends, so a query reads only the postings of its own terms
+(Zobel & Moffat 2006).
 
 BM25 statistics (N, document frequency, average length) are computed
 over the matching subset only (documents sharing at least one query
@@ -23,12 +24,12 @@ from collections import Counter
 from dataclasses import asdict, dataclass, fields
 from functools import cached_property
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Any, Collection, Iterable, Mapping, Sequence
 
 import yaml
 
 from . import dsl
-from .env import TerminalEnv, env_digest
+from .env import TerminalEnv, env_digest, tokenize
 from .errors import ValidationError
 from .files import read_json, write_json
 
@@ -38,25 +39,12 @@ PRIMITIVE_CATEGORIES = ("variable_definition", "constraint_formulation",
 BM25_K1 = 1.2
 BM25_B = 0.75
 
-# Byte table mapping everything but 0-9 and a-z to a space.
-_SEPARATORS = bytes(c if 48 <= c <= 57 or 97 <= c <= 122 else 32
-                    for c in range(256))
 # Exemplar ids name their file, so they must be a plain file stem.
 _EXEMPLAR_ID_RE = re.compile(r"[A-Za-z0-9][A-Za-z0-9._-]*")
 ACCUMULATED_ID_PREFIX = "acc"  # accumulated ids: acc-0001, acc-0002, ...
 
 # term -> (ascending document indexes, occurrences), and document lengths
 Index = tuple[dict[str, tuple[list[int], list[int]]], list[int]]
-
-
-def tokenize(text: str) -> list[str]:
-    """The runs of `[a-z0-9]` in `text.lower()`, in one C-level pass.
-
-    Every non-ASCII code point left after lowering becomes `?` and then
-    a separator, as it is for `re.findall("[a-z0-9]+", text.lower())`.
-    """
-    return (text.lower().encode("ascii", "replace").translate(_SEPARATORS)
-            .decode("ascii").split())
 
 
 @dataclass(frozen=True)
@@ -165,7 +153,7 @@ class KnowledgeBase:
             n += 1
         return f"{ACCUMULATED_ID_PREFIX}-{n:04d}"
 
-    def bm25_scores(self, query_terms: Sequence[str]) -> list[float]:
+    def bm25_scores(self, query_terms: Iterable[str]) -> list[float]:
         """`bm25_scores` of every exemplar, in store order."""
         if self._index is None:
             index: Index = ({}, [])
@@ -262,12 +250,12 @@ def _index_document(index: Index, counts: Mapping[str, int]) -> None:
             entry[1].append(freq)
 
 
-def _bm25_indexed(query_terms: Sequence[str], index: Index) -> list[float]:
+def _bm25_indexed(query_terms: Iterable[str], index: Index) -> list[float]:
     """`bm25_scores` term-at-a-time in sorted term order, so each score is
     summed in the order and float expressions of the token-list form."""
     postings, lengths = index
     scores = [0.0] * len(lengths)
-    hits = [postings[t] for t in sorted(set(query_terms)) if t in postings]
+    hits = [postings[t] for t in sorted(postings.keys() & query_terms)]
     if not hits:
         return scores
     matching = sorted(set().union(*(docs for docs, _ in hits)))
@@ -284,12 +272,24 @@ def _bm25_indexed(query_terms: Sequence[str], index: Index) -> list[float]:
     return scores
 
 
-def retrieve(kb: KnowledgeBase, query: str, k: int) -> RetrievedContext:
-    """Rank exemplars for a query; primitives are always all included.
+def query_terms(env: TerminalEnv) -> set[str]:
+    """`set(tokenize(...))` of the newline-joined requirement texts and
+    `env_digest(env)`, from the digest terms cached on network and fleet."""
+    return set(tokenize("\n".join(env.requirements.texts))).union(
+        env.network.digest_terms, env.fleet.digest_terms)
+
+
+def retrieve(kb: KnowledgeBase, terms: Collection[str],
+             k: int) -> RetrievedContext:
+    """Rank exemplars for query terms, such as `query_terms(env)` or
+    `tokenize(text)` (a `str`, whose terms would be its characters, raises
+    TypeError); primitives are always all included.
 
     Returns min(k, |exemplars|) exemplars ordered by score descending,
     ties broken by exemplar id.
     """
+    if isinstance(terms, str):
+        raise TypeError("retrieve takes terms: pass tokenize(text)")
     if k < 0:
         raise ValueError("k must be non-negative")
     primitives = tuple(sorted(
@@ -298,7 +298,7 @@ def retrieve(kb: KnowledgeBase, query: str, k: int) -> RetrievedContext:
     exemplars = kb.exemplars
     if k == 0 or not exemplars:
         return RetrievedContext(primitives=primitives, exemplars=(), scores=())
-    scores = kb.bm25_scores(tokenize(query))
+    scores = kb.bm25_scores(terms)
     floor = heapq.nlargest(k, scores)[-1]  # the k-th best score
     top = sorted((i for i, score in enumerate(scores) if score >= floor),
                  key=lambda i: (-scores[i], exemplars[i].id))[:k]

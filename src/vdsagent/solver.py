@@ -170,10 +170,12 @@ class Constraints:
 
     def problem(self, common: RoadGraph, vehicle: str,
                 od: tuple[int, int] | None) -> VehicleProblem:
-        """Vehicle's problem; `common` is the network minus `removed`."""
+        """Vehicle's problem on `common` (the network minus `removed`),
+        or on a view of it when the vehicle has links of its own removed."""
+        banned = self.removed_for.get(vehicle)
         return VehicleProblem(
             vehicle=vehicle, od=od,
-            edges=common.without(self.removed_for.get(vehicle, ())),
+            edges=common if banned is None else common.without(banned),
             requirement=self.required.get(vehicle))
 
     def instance(self, env: TerminalEnv) -> SolverInstance:

@@ -20,7 +20,8 @@ from . import dsl, llm, solver
 from .env import TerminalEnv, env_digest
 from .errors import ConfigError
 from .files import write_json
-from .knowledge import KnowledgeBase, RetrievedContext, accumulate, retrieve
+from .knowledge import (KnowledgeBase, RetrievedContext, accumulate,
+                        query_terms, retrieve)
 
 
 @dataclass
@@ -149,8 +150,7 @@ def run_transfer(env: TerminalEnv, kb: KnowledgeBase,
     requirements = env.requirements.texts
     retrieved = None
     if config.use_rag:
-        query = "\n".join(requirements) + "\n" + digest
-        retrieved = retrieve(kb, query, config.k_shot)
+        retrieved = retrieve(kb, query_terms(env), config.k_shot)
     outcome = TransferOutcome(status="exhausted", retrieved=retrieved)
     corrections: list[str] = []
     for index in range(1, config.max_iterations + 1):

@@ -71,6 +71,13 @@ class TestNetwork:
                       edges=(Edge(0, 1, 1), Edge(1, 0, 5)))
         assert net.lengths() == {(0, 1): 1, (1, 0): 5}
 
+    def test_node_ids_built_once_per_network(self):
+        net = triangle()
+        ids = net.node_ids()
+        assert ids == frozenset({0, 1, 2})
+        assert net.node_ids() is ids
+        assert triangle().node_ids() is not ids
+
 
 class TestFleet:
     def test_duplicate_agv_rejected(self):

@@ -6,9 +6,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import helpers
+from vdsagent import bench, injection
 from vdsagent import knowledge as kn
 from vdsagent.errors import ValidationError
-from vdsagent.env import env_digest
+from vdsagent.env import (EXPERTISE_LEVELS, Agv, Edge, FleetConfig, Network,
+                          Node, Requirements, Task, TerminalEnv, env_digest)
+from vdsagent.instances import generate_instances, with_level
 
 CLOSURE_EXEMPLAR = kn.Exemplar(
     id="ex-closure",
@@ -307,36 +310,42 @@ class TestRetrieve:
             exemplars=THREE,
         )
 
+    def test_text_query_rejected(self):
+        # iterating a string would rank by its characters
+        with pytest.raises(TypeError):
+            kn.retrieve(self.base(), "road closed", 1)
+
     def test_negative_k_rejected(self):
         with pytest.raises(ValueError):
-            kn.retrieve(self.base(), "road closed", -1)
+            kn.retrieve(self.base(), kn.tokenize("road closed"), -1)
 
     def test_k_zero_keeps_primitives(self):
-        ctx = kn.retrieve(self.base(), "road closed", 0)
+        ctx = kn.retrieve(self.base(), kn.tokenize("road closed"), 0)
         assert ctx.exemplars == ()
         assert ctx.scores == ()
         assert len(ctx.primitives) == 4
 
     def test_primitives_ordered_by_category_then_id(self):
-        ctx = kn.retrieve(self.base(), "anything", 1)
+        ctx = kn.retrieve(self.base(), kn.tokenize("anything"), 1)
         assert [p.id for p in ctx.primitives] == \
             ["vars", "balance", "bans", "obj"]
 
     def test_top_k_ranking(self):
-        ctx = kn.retrieve(self.base(),
-                          "The road between node 6 and node 7 is closed.", 2)
+        ctx = kn.retrieve(
+            self.base(),
+            kn.tokenize("The road between node 6 and node 7 is closed."), 2)
         assert [e.id for e in ctx.exemplars] == ["ex-closure", "ex-forbidden"]
         assert ctx.scores[0] > ctx.scores[1]
 
     def test_k_larger_than_store(self):
-        ctx = kn.retrieve(self.base(), "road", 50)
+        ctx = kn.retrieve(self.base(), kn.tokenize("road"), 50)
         assert len(ctx.exemplars) == 3
 
     def test_tie_broken_by_id(self):
         twin_a = kn.Exemplar("a-twin", "identical words", "", VALID_PROGRAM)
         twin_b = kn.Exemplar("b-twin", "identical words", "", VALID_PROGRAM)
         kb = kn.KnowledgeBase(exemplars=(twin_b, twin_a))
-        ctx = kn.retrieve(kb, "identical words", 2)
+        ctx = kn.retrieve(kb, kn.tokenize("identical words"), 2)
         assert [e.id for e in ctx.exemplars] == ["a-twin", "b-twin"]
 
 
@@ -353,7 +362,7 @@ class TestTopK:
             exemplars=[kn.Exemplar(i, "d", "", VALID_PROGRAM) for i in ids])
         kb.bm25_scores = lambda _terms: scores
         for k in (0, 1, 3, n, n + 2):
-            ctx = kn.retrieve(kb, "query", k)
+            ctx = kn.retrieve(kb, kn.tokenize("query"), k)
             top = helpers.key_function_top_k(scores, ids, k)
             assert [e.id for e in ctx.exemplars] == [ids[i] for i in top]
             assert ctx.scores == tuple(scores[i] for i in top)
@@ -398,7 +407,7 @@ class TestRetrieveMatchesReference:
         return " ".join(rng.choices(pool, k=rng.randint(1, 8)))
 
     def assert_matches(self, kb, query, k):
-        ctx = kn.retrieve(kb, query, k)
+        ctx = kn.retrieve(kb, kn.tokenize(query), k)
         ids, scores = ranked_by_reference(kb, query, k)
         assert [e.id for e in ctx.exemplars] == ids
         assert list(ctx.scores) == scores
@@ -487,7 +496,8 @@ class TestIndexLifecycle:
             self.assert_all_match(snap, queries)
             assert theirs.id not in {e.id for e in kb.exemplars}
             assert mine.id not in {e.id for e in snap.exemplars}
-            top = kn.retrieve(snap, "xylophone", len(snap.exemplars))
+            top = kn.retrieve(snap, kn.tokenize("xylophone"),
+                              len(snap.exemplars))
             assert top.exemplars[0] == theirs
             assert top.scores[1:] == (0.0,) * (len(top.scores) - 1)
 
@@ -507,12 +517,12 @@ class TestIndexLifecycle:
 
     def test_no_matching_term_and_k_past_the_matches(self):
         kb = kn.KnowledgeBase(exemplars=THREE)
-        ctx = kn.retrieve(kb, "xylophone harpsichord", 5)
+        ctx = kn.retrieve(kb, kn.tokenize("xylophone harpsichord"), 5)
         assert [e.id for e in ctx.exemplars] == sorted(e.id for e in THREE)
         assert ctx.scores == (0.0, 0.0, 0.0)
         self.ref.assert_matches(kb, "xylophone harpsichord", 5)
         # "height" is in one document only; the rest follow at 0, by id
-        ctx = kn.retrieve(kb, "height xylophone", 5)
+        ctx = kn.retrieve(kb, kn.tokenize("height xylophone"), 5)
         assert [e.id for e in ctx.exemplars] == [
             "ex-forbidden", "ex-closure", "ex-route"]
         assert ctx.scores[0] > 0.0 and ctx.scores[1:] == (0.0, 0.0)
@@ -527,6 +537,113 @@ class TestIndexLifecycle:
             query = rng.choices(vocab + ["zzz"], k=rng.randint(0, 6))
             assert (kn.bm25_scores(query, docs)
                     == helpers.list_count_bm25(query, docs))
+
+
+def yard_env(seed, side=20, fleet=100):
+    """A side x side grid yard whose vehicles each carry one task."""
+    rng = random.Random(seed)
+    network = Network(
+        tuple(Node(i) for i in range(side * side)),
+        tuple(Edge(u, v, w) for (u, v), w in helpers.grid_edges(side).items()))
+    trips = [rng.sample(range(side * side), 2) for _ in range(fleet)]
+    text = (f"Attention: the two-way road between nodes {side + 1} and "
+            f"{side + 2} is closed. AGV-7 must not drive the link from "
+            f"node 3 to node 4.")
+    return TerminalEnv(
+        network,
+        FleetConfig(tuple(Agv(f"AGV-{k + 1}") for k in range(fleet)),
+                    tuple(Task(f"T{k + 1}", f"AGV-{k + 1}", o, d)
+                          for k, (o, d) in enumerate(trips))),
+        Requirements("engineer", (text,)))
+
+
+def golden_envs():
+    """(kind, env) of every default golden suite instance at every level."""
+    config = bench.SuiteConfig()
+    return [(kind, with_level(base, spec, level))
+            for kind in config.scenarios
+            for base, spec in generate_instances(
+                config.seed, kind, config.instances_per_scenario)
+            for level in EXPERTISE_LEVELS]
+
+
+@pytest.fixture(scope="module")
+def grown_base():
+    """The seed base plus 500 golden exemplars added by `accumulate`."""
+    kb = kn.load_seed_kb().snapshot()
+    envs = golden_envs()
+    for n in range(500):
+        kind, env = envs[n % len(envs)]
+        kn.accumulate(kb, env, injection.CORRECT_PROGRAMS[kind],
+                      " ".join(env.requirements.texts))
+    return kb
+
+
+@pytest.fixture(scope="module")
+def small_base():
+    return kn.KnowledgeBase(exemplars=THREE + kn.load_seed_kb().exemplars)
+
+
+class TestQueryTerms:
+    """A transfer's terms, built from the sets cached on its network and
+    fleet, rank and score exactly as tokenizing its whole query text."""
+
+    def assert_equivalent(self, kb, env, k=3):
+        text = "\n".join(env.requirements.texts) + "\n" + env_digest(env)
+        terms = kn.query_terms(env)
+        assert terms == set(kn.tokenize(text))
+        ctx = kn.retrieve(kb, terms, k)
+        got = [e.id for e in ctx.exemplars], list(ctx.scores)
+        tokens = kn.retrieve(kb, kn.tokenize(text), k)
+        assert got == ([e.id for e in tokens.exemplars], list(tokens.scores))
+        # the token-list scorer over the documents' token lists
+        exemplars = kb.exemplars
+        scores = kn.bm25_scores(kn.tokenize(text),
+                                [kn.tokenize(e.document()) for e in exemplars])
+        top = sorted(range(len(exemplars)),
+                     key=lambda i: (-scores[i], exemplars[i].id))[:k]
+        assert got == ([exemplars[i].id for i in top],
+                       [scores[i] for i in top])
+        assert got == ranked_by_reference(kb, text, k)
+
+    def test_yard(self, seed_kb, grown_base):
+        env = yard_env(1)
+        assert len(kn.query_terms(env)) > 500
+        for kb in (seed_kb, grown_base):
+            self.assert_equivalent(kb, env)
+
+    def test_golden_instances_at_every_level(self, seed_kb):
+        kb = seed_kb
+        kb.append_exemplar(CLOSURE_EXEMPLAR)
+        kb.append_exemplar(ROUTE_EXEMPLAR)
+        for _, env in golden_envs():
+            self.assert_equivalent(kb, env)
+
+    def test_base_grown_by_accumulate(self, grown_base):
+        assert len(grown_base.exemplars) == 501
+        for _, env in golden_envs()[::4]:
+            self.assert_equivalent(grown_base, env, k=5)
+
+    @settings(max_examples=200, deadline=None)
+    @given(texts=st.lists(st.text(st.one_of(
+        st.sampled_from("aZ09 \u0130\u03a3.,-()[]:;\n"),
+        st.characters(exclude_categories=()))), max_size=3))
+    @example(texts=[])
+    @example(texts=[""])
+    @example(texts=["\u0130stanbul \u03a3 ROAD (6,7).", "AGV-4,node7:closed"])
+    def test_generated_requirements(self, small_base, texts):
+        env = yard_env(2, side=5, fleet=6)
+        env = dataclasses.replace(
+            env, requirements=Requirements("engineer", tuple(texts)))
+        self.assert_equivalent(small_base, env)
+
+    def test_levels_share_the_cached_term_sets(self, closure_instance):
+        base, spec = closure_instance
+        envs = [with_level(base, spec, level) for level in EXPERTISE_LEVELS]
+        for part in ("network", "fleet"):
+            first, *rest = (getattr(env, part).digest_terms for env in envs)
+            assert all(terms is first for terms in rest)
+            assert first == frozenset(kn.tokenize(getattr(base, part).digest))
 
 
 class TestAccumulate:

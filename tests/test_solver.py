@@ -705,3 +705,27 @@ class TestConstraints:
         assert (a.requirement, b.requirement) == (requirement, None)
         common = sv.RoadGraph(env.network.lengths()).without({(6, 7)})
         assert constraints.problem(common, "B", (5, 7)) == b
+
+    def test_unbanned_vehicles_share_the_common_view(self, monkeypatch):
+        env = grid_env([(f"V{k}", f"T{k}", k, 19 - k) for k in range(6)])
+        constraints = sv.Constraints(removed={(6, 7)},
+                                     removed_for={"V2": {(5, 6), (0, 99)}})
+        common = sv.RoadGraph.of(env.network).without({(6, 7)})
+        views = []
+        without = sv.RoadGraph.without
+
+        def recorded(graph, edges):
+            views.append(without(graph, edges))
+            return views[-1]
+
+        monkeypatch.setattr(sv.RoadGraph, "without", recorded)
+        problems = [constraints.problem(common, a.id, None)
+                    for a in env.fleet.agvs]
+        assert len(views) == 1  # the banned vehicle's view only
+        for problem in problems:
+            if problem.vehicle == "V2":
+                assert problem.edges is views[0]
+                assert dict(problem.edges) == {
+                    e: w for e, w in common.items() if e != (5, 6)}
+            else:
+                assert problem.edges is common
