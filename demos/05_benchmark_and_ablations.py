@@ -40,11 +40,11 @@ faulty = run(injection.fault_injection_script())
 show("fault injection", faulty)
 print("failure categories:", faulty["failure_categories"])
 
-# Failed instances split by requirement writing style; a chi-squared
-# test asks whether style and failure are associated.
-chi = faulty["stats"]["ssr_chi2"]
-print(f"ssr by level chi2: statistic {chi['statistic']:.4f}, "
-      f"df {chi['df']}, p {chi['p_value']:.4f}")
+# Failed instances split by requirement writing style; an exact test
+# over every table with the same margins asks whether style and failure
+# are associated.
+exact = faulty["stats"]["ssr_exact"]
+print(f"ssr by level exact test: p {exact['p_value']:.4f}")
 
 # Ablations switch off one mechanism at a time. This script is built
 # so most instances need retrieved knowledge in the prompt, while a

@@ -27,7 +27,7 @@ from .instances import generate_instances, with_level
 from .knowledge import KnowledgeBase, accumulate
 from .llm import Backend, MockBackend
 from .solver import DEFAULT_TIME_LIMIT, oracle_solve
-from .stats import DegenerateInput, DegenerateTable, anova_test, chi_squared_test
+from .stats import DegenerateInput, DegenerateTable, anova_test, exact_test
 from .workflow import (TransferOutcome, WorkflowConfig, is_executed,
                        run_transfer)
 
@@ -70,6 +70,8 @@ class SuiteConfig:
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool):
                 raise ConfigError(f"{name} must be an integer")
+        if not isinstance(self.learn_during_run, bool):
+            raise ConfigError("learn_during_run must be true or false")
         for name in ("tolerance", "solve_time_limit"):
             value = getattr(self, name)
             if not isinstance(value, (int, float)) or isinstance(value, bool):
@@ -199,10 +201,10 @@ def _stats_block(results: list[InstanceResult],
     if len(groups) < 2:
         return {}
     tests = (
-        ("cer_chi2", chi_squared_test,
+        ("cer_exact", exact_test,
          [[sum(r.executed for r in g), sum(not r.executed for r in g)]
           for g in groups]),
-        ("ssr_chi2", chi_squared_test,
+        ("ssr_exact", exact_test,
          [[sum(r.solved for r in g), sum(not r.solved for r in g)]
           for g in groups]),
         ("iterations_anova", anova_test,

@@ -1,13 +1,15 @@
-"""Pearson chi-squared and one-way ANOVA without external numerics.
+"""Exact r x 2 test of independence and one-way ANOVA, stdlib only.
 
-The regularized incomplete gamma and beta functions are evaluated
-in-module: power series where they converge fast, modified Lentz
-continued fractions elsewhere.  Target accuracy is well beyond the 1e-8
-relative error the tests check against direct density integration.
+The exact test enumerates every table with the observed margins in
+integer arithmetic.  ANOVA's p-value comes from the regularized
+incomplete beta function, evaluated in-module by a modified Lentz
+continued fraction to well beyond the 1e-8 error the tests check
+against direct density integration.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -20,69 +22,11 @@ _TINY = 1e-300
 
 
 class DegenerateTable(VdsAgentError):
-    """The contingency table cannot support a chi-squared test."""
+    """The contingency table cannot support an exact test."""
 
 
 class DegenerateInput(VdsAgentError):
     """The ANOVA groups cannot support an F test."""
-
-
-def _gamma_series(a: float, x: float) -> float:
-    ap = a
-    total = 1.0 / a
-    delta = total
-    for _ in range(_ITMAX):
-        ap += 1.0
-        delta *= x / ap
-        total += delta
-        if abs(delta) < abs(total) * _EPS:
-            break
-    return total * math.exp(-x + a * math.log(x) - math.lgamma(a))
-
-
-def _gamma_cf(a: float, x: float) -> float:
-    # Lentz's method for the continued fraction of Q(a, x)
-    b = x + 1.0 - a
-    c = 1.0 / _TINY
-    d = 1.0 / b
-    h = d
-    for i in range(1, _ITMAX + 1):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < _TINY:
-            d = _TINY
-        c = b + an / c
-        if abs(c) < _TINY:
-            c = _TINY
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _EPS:
-            break
-    return h * math.exp(-x + a * math.log(x) - math.lgamma(a))
-
-
-def regularized_gamma_p(a: float, x: float) -> float:
-    """P(a, x), the regularized lower incomplete gamma function."""
-    if a <= 0 or x < 0:
-        raise ValueError("require a > 0 and x >= 0")
-    if x == 0:
-        return 0.0
-    if x < a + 1.0:
-        return _gamma_series(a, x)
-    return 1.0 - _gamma_cf(a, x)
-
-
-def regularized_gamma_q(a: float, x: float) -> float:
-    """Q(a, x) = 1 - P(a, x), computed directly in the right tail."""
-    if a <= 0 or x < 0:
-        raise ValueError("require a > 0 and x >= 0")
-    if x == 0:
-        return 1.0
-    if x < a + 1.0:
-        return 1.0 - _gamma_series(a, x)
-    return _gamma_cf(a, x)
 
 
 def _beta_cf(a: float, b: float, x: float) -> float:
@@ -136,27 +80,8 @@ def regularized_beta(a: float, b: float, x: float) -> float:
     return 1.0 - front * _beta_cf(b, a, 1.0 - x) / b
 
 
-def chi_squared_cdf(x: float, df: int) -> float:
-    if df < 1:
-        raise ValueError("df must be >= 1")
-    if x < 0:
-        return 0.0
-    return regularized_gamma_p(df / 2.0, x / 2.0)
-
-
-def f_cdf(x: float, df1: int, df2: int) -> float:
-    if df1 < 1 or df2 < 1:
-        raise ValueError("degrees of freedom must be >= 1")
-    if x <= 0:
-        return 0.0
-    return regularized_beta(df1 / 2.0, df2 / 2.0,
-                            df1 * x / (df1 * x + df2))
-
-
 @dataclass(frozen=True)
-class ChiSquaredResult:
-    statistic: float
-    df: int
+class ExactTestResult:
     p_value: float
 
 
@@ -168,38 +93,37 @@ class AnovaResult:
     p_value: float
 
 
-def chi_squared_test(table: Sequence[Sequence[float]]) -> ChiSquaredResult:
-    """Pearson chi-squared test of independence on a g x c count table.
+def exact_test(table: Sequence[Sequence[int]]) -> ExactTestResult:
+    """Exact test of independence on an r x 2 count table (Freeman-Halton).
 
-    Expected counts come from the marginals; cells whose expected count
-    is zero contribute zero to the statistic.
+    Given both margins, a table with a_i first-column counts in rows of
+    size n_i has weight prod comb(n_i, a_i); the weights of all such
+    tables sum to comb(N, A).  p is the summed weight of the tables no
+    more likely than the observed one over comb(N, A).  Weights are
+    ints, so ties compare exactly.
     """
-    rows = [list(r) for r in table]
+    rows = [tuple(r) for r in table]
     if len(rows) < 2:
         raise DegenerateTable("need at least two groups")
-    width = len(rows[0])
-    if width < 2 or any(len(r) != width for r in rows):
-        raise DegenerateTable("rows must share a width of at least two")
     for r in rows:
-        for cell in r:
-            if cell < 0:
-                raise DegenerateTable("counts must be non-negative")
-    row_totals = [sum(r) for r in rows]
-    if any(t == 0 for t in row_totals):
-        raise DegenerateTable("a group has zero observations")
-    col_totals = [sum(r[j] for r in rows) for j in range(width)]
-    grand = sum(row_totals)
-    statistic = 0.0
-    for i, r in enumerate(rows):
-        for j, observed in enumerate(r):
-            expected = row_totals[i] * col_totals[j] / grand
-            if expected == 0:
-                continue
-            statistic += (observed - expected) ** 2 / expected
-    df = (len(rows) - 1) * (width - 1)
-    p_value = 1.0 if statistic == 0 else regularized_gamma_q(df / 2.0,
-                                                             statistic / 2.0)
-    return ChiSquaredResult(statistic=statistic, df=df, p_value=p_value)
+        if len(r) != 2 or not all(type(c) is int and c >= 0 for c in r):
+            raise DegenerateTable("each row must be a pair of non-negative "
+                                  "ints")
+        if r == (0, 0):
+            raise DegenerateTable("a group has zero observations")
+    sizes = [a + b for a, b in rows]
+    total = sum(a for a, _ in rows)
+    observed = math.prod(math.comb(a + b, a) for a, b in rows)
+    *head, last = sizes
+    tail = 0
+    for firsts in itertools.product(*(range(n + 1) for n in head)):
+        rest = total - sum(firsts)
+        if 0 <= rest <= last:
+            weight = math.comb(last, rest) * math.prod(map(math.comb, head,
+                                                           firsts))
+            if weight <= observed:
+                tail += weight
+    return ExactTestResult(p_value=tail / math.comb(sum(sizes), total))
 
 
 def anova_test(groups: Sequence[Sequence[float]]) -> AnovaResult:

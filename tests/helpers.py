@@ -8,6 +8,8 @@ reference for graphs too large to enumerate; `list_count_bm25` is the
 retriever's earlier scorer, which re-counts every term in each token
 list.  `rendered_env_digest`, `regex_tokenize` and `key_function_top_k`
 are the earlier digest renderer, tokenizer and top-k ranking.
+`fraction_exact_p` is the exact r x 2 test computed with hypergeometric
+probabilities as Fractions.
 """
 
 from __future__ import annotations
@@ -256,6 +258,39 @@ def key_function_top_k(scores: Sequence[float], ids: Sequence[str],
     """Indexes of the k best scores, ties by id, ranked by a key function."""
     return heapq.nsmallest(k, range(len(scores)),
                            key=lambda i: (-scores[i], ids[i]))
+
+
+def fraction_exact_p(table: Sequence[Sequence[int]]) -> float:
+    """Freeman-Halton p of an r x 2 table, summed over Fractions.
+
+    Every first column with the observed row sizes and column total gets
+    its multivariate hypergeometric probability from factorials; p sums
+    the probabilities no larger than the observed table's.
+    """
+    sizes = [a + b for a, b in table]
+    total = sum(a for a, _ in table)
+    grand = sum(sizes)
+    fact = math.factorial
+    numerator = fact(total) * fact(grand - total) * math.prod(map(fact, sizes))
+
+    def probability(column: Sequence[int]) -> Fraction:
+        denominator = fact(grand) * math.prod(
+            fact(a) * fact(n - a) for n, a in zip(sizes, column))
+        return Fraction(numerator, denominator)
+
+    def columns(row: int, left: int):
+        if row == len(sizes) - 1:
+            if left <= sizes[row]:
+                yield (left,)
+            return
+        for a in range(min(sizes[row], left) + 1):
+            for rest in columns(row + 1, left - a):
+                yield (a,) + rest
+
+    observed = probability([a for a, _ in table])
+    probabilities = [probability(c) for c in columns(0, total)]
+    assert sum(probabilities) == 1
+    return float(sum(p for p in probabilities if p <= observed))
 
 
 def stubborn_script(kind: str = "road_closure",

@@ -201,21 +201,22 @@ def test_criterion_4_metric_formulas():
 
 
 def test_criterion_5_statistics():
-    chi = stats.chi_squared_test([[13, 2], [14, 1], [15, 0]])
-    assert chi.statistic == pytest.approx(2.1429, abs=5e-4)
-    assert chi.df == 2
-    assert chi.p_value == pytest.approx(0.3425, abs=5e-4)
+    fixture = [[13, 2], [14, 1], [15, 0]]
+    exact = stats.exact_test(fixture)
+    assert exact.p_value == helpers.fraction_exact_p(fixture)
+    assert exact.p_value == pytest.approx(0.7622, abs=5e-5)
 
-    clean = stats.chi_squared_test([[15, 0], [15, 0], [15, 0]])
-    assert (clean.statistic, clean.df, clean.p_value) == (0.0, 2, 1.0)
+    clean = stats.exact_test([[15, 0], [15, 0], [15, 0]])
+    assert clean.p_value == 1.0
 
     anova = stats.anova_test([[1.0, 2.0], [3.0, 4.0]])
     assert anova.f_stat == 8.0
     assert anova.p_value == pytest.approx(0.1056, abs=5e-4)
     # independent closed form for this shape
     assert anova.p_value == pytest.approx(1 - math.sqrt(0.8), rel=1e-12)
-    print("\nPASS: criterion 5 - chi-squared (2.1429, df 2, p 0.3425) and "
-          "ANOVA (F 8.0, p 0.1056) within +-5e-4")
+    print(f"\nPASS: criterion 5 - exact test (p {exact.p_value:.4f}, equal "
+          "to the Fraction enumeration) and ANOVA (F 8.0, p 0.1056) "
+          "within +-5e-4")
 
 
 def _normalized(report):
@@ -255,10 +256,11 @@ def test_criterion_6_pipeline_reproduction():
     for row in missed:
         by_kind[row["scenario"]] = by_kind.get(row["scenario"], 0) + 1
     assert by_kind == {"road_closure": 2, "designated_route": 1}
-    chi = fault["stats"]["ssr_chi2"]
-    assert chi["statistic"] == pytest.approx(2.1429, abs=5e-4)
-    assert chi["df"] == 2
-    assert chi["p_value"] == pytest.approx(0.3425, abs=5e-4)
+    exact = fault["stats"]["ssr_exact"]
+    assert exact["p_value"] == pytest.approx(0.7622, abs=5e-5)
+    assert exact["p_value"] == helpers.fraction_exact_p([[13, 2], [14, 1],
+                                                         [15, 0]])
+    assert not exact["significant"]
 
     # determinism: a second pass is byte-identical modulo clock fields
     golden_again = bench.run_benchmark(
@@ -271,8 +273,8 @@ def test_criterion_6_pipeline_reproduction():
     elapsed = time.monotonic() - start
     assert elapsed < 120.0
     print(f"\nPASS: criterion 6 - golden 100/100, fault 100/93.33 with "
-          f"{{misinterpretation: 3}} (2 closure + 1 route), byte-stable "
-          f"reports, {elapsed:.1f}s")
+          f"{{misinterpretation: 3}} (2 closure + 1 route), ssr exact p "
+          f"{exact['p_value']:.4f}, byte-stable reports, {elapsed:.1f}s")
 
 
 def test_criterion_7_self_correction():

@@ -167,6 +167,9 @@ class TestSuiteConfig:
         # an empty suite would generate and solve oracles, then find no rows
         {"levels": ()},
         {"scenarios": ()},
+        # a truthy string or number would switch learning on
+        {"learn_during_run": "no"},
+        {"learn_during_run": 0},
     ])
     def test_validate_rejects(self, kwargs):
         with pytest.raises(ConfigError):
@@ -269,9 +272,8 @@ class TestRunBenchmark:
             list(bench.SuiteConfig().scenarios)
         assert list(report["aggregates"]["by_level"]) == \
             list(bench.SuiteConfig().levels)
-        assert report["stats"]["ssr_chi2"]["statistic"] == 0.0
-        assert report["stats"]["ssr_chi2"]["p_value"] == 1.0
-        assert not report["stats"]["ssr_chi2"]["significant"]
+        assert report["stats"]["ssr_exact"] == {"p_value": 1.0,
+                                                "significant": False}
         assert report["stats"]["iterations_anova"]["f_stat"] == 0.0
         assert [row["trace"] for row in report["instances"]] == [None] * 9
         ids = [row["instance_id"] for row in report["instances"]]
@@ -291,8 +293,8 @@ class TestRunBenchmark:
             data = json.loads(open(row["trace"]).read())
             assert data["status"] == "solved"
         assert len(list((tmp_path / "traces").glob("*.trace.json"))) == 3
-        # one observation per level: chi-squared still works, ANOVA cannot
-        assert "ssr_chi2" in report["stats"]
+        # one observation per level: the exact test still works, ANOVA cannot
+        assert "ssr_exact" in report["stats"]
         assert "iterations_anova" not in report["stats"]
 
     def test_reports_identical_modulo_clock(self):

@@ -229,6 +229,18 @@ class TestBench:
         assert "levels repeats an entry" in capsys.readouterr().err
         assert not (out / "report.json").exists()
 
+    def test_suite_file_string_learn_during_run_exits_two(
+            self, tmp_path, script_path, capsys):
+        suite = script_path("suite.json", {"learn_during_run": "no",
+                                           "instances_per_scenario": 1})
+        script = script_path("golden.json", inj.golden_script())
+        out = tmp_path / "out"
+        code = main(["bench", "--suite", suite, "--llm", f"mock:{script}",
+                     "--out", str(out)])
+        assert code == 2
+        assert "learn_during_run" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+
     @pytest.mark.parametrize("key", ("tolerance", "solve_time_limit"))
     def test_suite_file_nan_exits_two(self, tmp_path, capsys, key):
         suite = tmp_path / "suite.json"

@@ -3,23 +3,8 @@ import random
 
 import pytest
 
+import helpers
 from vdsagent import stats
-
-
-def chi2_cdf_closed(x, df):
-    """Closed forms for small df, independent of the module internals."""
-    if df == 1:
-        return math.erf(math.sqrt(x / 2))
-    if df == 2:
-        return 1 - math.exp(-x / 2)
-    if df == 3:
-        return math.erf(math.sqrt(x / 2)) - \
-            math.sqrt(2 / math.pi) * math.sqrt(x) * math.exp(-x / 2)
-    if df == 4:
-        return 1 - math.exp(-x / 2) * (1 + x / 2)
-    if df == 6:
-        return 1 - math.exp(-x / 2) * (1 + x / 2 + x * x / 8)
-    raise ValueError(df)
 
 
 def f_pdf(x, d1, d2):
@@ -42,20 +27,6 @@ def simpson(f, lo, hi, n):
 
 
 class TestSpecialFunctions:
-    def test_gamma_p_plus_q_is_one(self):
-        rng = random.Random(3)
-        for _ in range(200):
-            a = rng.uniform(0.2, 20)
-            x = rng.uniform(0, 40)
-            p = stats.regularized_gamma_p(a, x)
-            q = stats.regularized_gamma_q(a, x)
-            assert p + q == pytest.approx(1.0, abs=1e-12)
-            assert 0 <= p <= 1
-
-    def test_gamma_bounds(self):
-        assert stats.regularized_gamma_p(3.0, 0.0) == 0.0
-        assert stats.regularized_gamma_q(3.0, 0.0) == 1.0
-
     def test_beta_endpoints(self):
         assert stats.regularized_beta(2.0, 5.0, 0.0) == 0.0
         assert stats.regularized_beta(2.0, 5.0, 1.0) == 1.0
@@ -77,83 +48,67 @@ class TestSpecialFunctions:
                                                                     abs=1e-14)
 
 
-class TestChiSquaredCdf:
-    def test_against_closed_forms(self):
-        for df in (1, 2, 3, 4, 6):
-            for x in (0.1, 0.5, 1.0, 2.5, 5.0, 12.0, 25.0):
-                assert stats.chi_squared_cdf(x, df) == \
-                    pytest.approx(chi2_cdf_closed(x, df), abs=1e-12)
-
-    def test_negative_x(self):
-        assert stats.chi_squared_cdf(-1.0, 3) == 0.0
-
-    def test_bad_df(self):
-        with pytest.raises(ValueError):
-            stats.chi_squared_cdf(1.0, 0)
+def f_dist_cdf(x, d1, d2):
+    """F(d1, d2) cdf through I_{d1 x / (d1 x + d2)}(d1 / 2, d2 / 2)."""
+    return stats.regularized_beta(d1 / 2, d2 / 2, d1 * x / (d1 * x + d2))
 
 
 class TestFCdf:
+    """`regularized_beta` read as the F cdf that `anova_test` relies on."""
+
     def test_closed_forms(self):
         for x in (0.2, 1.0, 3.0, 8.0, 20.0):
-            assert stats.f_cdf(x, 1, 2) == \
+            assert f_dist_cdf(x, 1, 2) == \
                 pytest.approx(math.sqrt(x / (x + 2)), abs=1e-12)
-            assert stats.f_cdf(x, 2, 2) == \
+            assert f_dist_cdf(x, 2, 2) == \
                 pytest.approx(x / (x + 1), abs=1e-12)
-            assert stats.f_cdf(x, 2, 4) == \
+            assert f_dist_cdf(x, 2, 4) == \
                 pytest.approx(1 - (2 / (x + 2)) ** 2, abs=1e-12)
-            assert stats.f_cdf(x, 4, 2) == \
+            assert f_dist_cdf(x, 4, 2) == \
                 pytest.approx((2 * x / (2 * x + 1)) ** 2, abs=1e-12)
 
     def test_simpson_cross_check(self):
         for x in (0.5, 1.5, 4.0):
             numeric = simpson(lambda t: f_pdf(t, 5, 7), 1e-12, x, 4000)
-            assert stats.f_cdf(x, 5, 7) == pytest.approx(numeric, abs=1e-8)
+            assert f_dist_cdf(x, 5, 7) == pytest.approx(numeric, abs=1e-8)
 
     def test_zero_and_negative(self):
-        assert stats.f_cdf(0.0, 3, 5) == 0.0
-        assert stats.f_cdf(-2.0, 3, 5) == 0.0
+        assert f_dist_cdf(0.0, 3, 5) == 0.0
+        assert stats.regularized_beta(1.5, 2.5, -0.4) == 0.0
 
     def test_bad_df(self):
         with pytest.raises(ValueError):
-            stats.f_cdf(1.0, 0, 5)
+            f_dist_cdf(1.0, 0, 5)
 
 
 class TestChiSquaredTest:
+    """`exact_test`, the expertise test the statistics block runs in place
+    of Pearson's chi-squared; case names are kept from that test."""
+
     def test_benchmark_fixture(self):
         # 15 instances per level; 13/14/15 solved
-        res = stats.chi_squared_test([[13, 2], [14, 1], [15, 0]])
-        assert res.statistic == pytest.approx(15 / 7, rel=1e-15)
-        assert res.df == 2
-        # df=2 survival has the closed form exp(-x/2)
-        assert res.p_value == pytest.approx(math.exp(-res.statistic / 2),
-                                            rel=1e-12)
-        assert res.p_value == pytest.approx(0.3425188550930456, rel=1e-12)
+        table = [[13, 2], [14, 1], [15, 0]]
+        res = stats.exact_test(table)
+        assert res.p_value == 0.7621564482029598
+        assert res.p_value == helpers.fraction_exact_p(table)
 
     def test_all_success(self):
-        res = stats.chi_squared_test([[15, 0], [15, 0], [15, 0]])
-        assert res.statistic == 0.0
-        assert res.df == 2
-        assert res.p_value == 1.0
+        assert stats.exact_test([[15, 0], [15, 0], [15, 0]]).p_value == 1.0
 
     def test_perfect_split(self):
-        res = stats.chi_squared_test([[10, 0], [0, 10]])
-        assert res.statistic == pytest.approx(20.0, rel=1e-15)
-        assert res.df == 1
-        # df=1 survival is erfc(sqrt(x/2))
-        assert res.p_value == pytest.approx(math.erfc(math.sqrt(10)),
-                                            rel=1e-12)
+        # only the observed table and its mirror are this unlikely
+        res = stats.exact_test([[10, 0], [0, 10]])
+        assert res.p_value == 2 / math.comb(20, 10)
         assert res.p_value < 0.05
 
     def test_proportional_rows_score_zero(self):
-        res = stats.chi_squared_test([[2, 4], [3, 6], [1, 2]])
-        assert res.statistic == 0.0
-        assert res.p_value == 1.0
+        # the most likely table: every table is no more likely than it
+        assert stats.exact_test([[2, 4], [3, 6], [1, 2]]).p_value == 1.0
 
     def test_zero_expected_cells_contribute_nothing(self):
-        res = stats.chi_squared_test([[5, 0], [5, 0]])
-        assert res.statistic == 0.0
-        assert res.df == 1
-        assert res.p_value == 1.0
+        # an all-zero column admits the observed table alone
+        assert stats.exact_test([[5, 0], [5, 0]]).p_value == 1.0
+        assert stats.exact_test([[0, 3], [0, 1], [0, 7]]).p_value == 1.0
 
     @pytest.mark.parametrize("table", [
         [[1, 2]],
@@ -161,16 +116,36 @@ class TestChiSquaredTest:
         [[1], [2]],
         [[1, -1], [2, 3]],
         [[0, 0], [1, 2]],
+        [],
+        [[1, 2, 3], [4, 5, 6]],
+        [[1.0, 2], [3, 4]],
+        [[True, 2], [3, 4]],
     ])
     def test_degenerate_tables(self, table):
         with pytest.raises(stats.DegenerateTable):
-            stats.chi_squared_test(table)
+            stats.exact_test(table)
 
     def test_row_permutation_invariance(self):
-        a = stats.chi_squared_test([[13, 2], [14, 1], [15, 0]])
-        b = stats.chi_squared_test([[15, 0], [13, 2], [14, 1]])
-        assert a.statistic == pytest.approx(b.statistic, rel=1e-14)
-        assert a.p_value == pytest.approx(b.p_value, rel=1e-12)
+        a = stats.exact_test([[13, 2], [14, 1], [15, 0]])
+        b = stats.exact_test([[15, 0], [13, 2], [14, 1]])
+        assert a.p_value == b.p_value
+
+    def test_matches_fraction_reference(self):
+        rng = random.Random(1951)
+        # one run per row, all-zero columns, and full rows of 20
+        tables = [[[1, 0], [0, 1]], [[1, 0], [1, 0], [0, 1]],
+                  [[0, 20], [0, 20]], [[0, 3], [0, 1], [0, 7]],
+                  [[20, 0], [0, 20], [20, 0]]]
+        for _ in range(150):
+            table = []
+            for _ in range(rng.choice((2, 3))):
+                runs = rng.randint(1, 20)
+                solved = rng.randint(0, runs)
+                table.append([solved, runs - solved])
+            tables.append(table)
+        for table in tables:
+            assert stats.exact_test(table).p_value == \
+                helpers.fraction_exact_p(table), table
 
 
 class TestAnova:
