@@ -43,9 +43,10 @@ def fixed_scenario(kind: str) -> ScenarioSpec:
     return _FIXED_SPECS[kind]
 
 
-def generate_instances(seed: int, kind: str, count: int,
-                       level: str = "engineer") -> list[tuple[TerminalEnv, ScenarioSpec]]:
-    """Generate `count` instances; pure function of its arguments."""
+def generate_instances(seed: int, kind: str,
+                       count: int) -> list[tuple[TerminalEnv, ScenarioSpec]]:
+    """Generate `count` instances, phrased at engineer level (`with_level`
+    rephrases them); pure function of its arguments."""
     if count < 1:
         raise ValueError("count must be >= 1")
     spec = fixed_scenario(kind)
@@ -53,7 +54,7 @@ def generate_instances(seed: int, kind: str, count: int,
     node_ids = sorted(network.node_ids())
     constraints = scenario_constraints(
         spec, {f"T{k}": f"AGV-{k}" for k in range(1, FLEET_SIZE + 1)})
-    common = RoadGraph.of(network).without(constraints.removed)
+    common = RoadGraph(network).without(constraints.removed)
     instances = []
     for i in range(count):
         rng = random.Random(f"{seed}:{kind}:{i}")
@@ -87,8 +88,8 @@ def generate_instances(seed: int, kind: str, count: int,
         env = TerminalEnv(
             network=network,
             fleet=FleetConfig(agvs=tuple(agvs), tasks=tuple(tasks)),
-            requirements=Requirements(level=level,
-                                      texts=(scenario_prompt(spec, level),)),
+            requirements=Requirements(
+                level="engineer", texts=(scenario_prompt(spec, "engineer"),)),
         )
         instances.append((env, spec))
     return instances

@@ -10,13 +10,13 @@ node sequence wins, which makes every result deterministic.
 fill one `Constraints` record, which alone builds vehicle problems.
 A network's links are indexed once, in `Network.adjacency`: per node,
 the network's own outgoing `Edge` objects sorted by target and incoming
-ones sorted by source.  Every `RoadGraph` of it shares those tuples, and
-each vehicle gets a view without its removed links.  A search runs
-Dijkstra from the target over reversed links until the source settles,
-then walks forward from the source, always to the smallest neighbour on
-a shortest route.
+ones sorted by source.  Every `RoadGraph` is a view of one network that
+shares those tuples, and each vehicle gets a view without its removed
+links.  A search runs Dijkstra from the target over reversed links until
+the source settles, then walks forward from the source, always to the
+smallest neighbour on a shortest route.
 
-Found routes are memoized on the `env.Network` a graph comes from, keyed
+Found routes are memoized on the `env.Network` a view comes from, keyed
 by (removed links, source, target) and kept as long as that network
 object, so generation, the oracle and every transfer on it solve each
 route once.  Infeasible and timed-out searches are not stored.
@@ -28,12 +28,12 @@ import copy
 import heapq
 import math
 import time
-from collections.abc import Iterator, Mapping
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Any, Iterable
 
 from . import dsl
-from .env import Edge, Links, Network, ScenarioSpec, TerminalEnv, index_links
+from .env import Links, Network, ScenarioSpec, TerminalEnv
 from .errors import ConfigError, VdsAgentError
 
 DEFAULT_TIME_LIMIT = 300.0
@@ -50,39 +50,37 @@ CLOCK_EVERY = 256
 
 _now = time.monotonic  # patched in tests to exercise the timeout path
 
-EdgeMap = Mapping[tuple[int, int], float]
 
+class RoadGraph:
+    """A network's links minus `removed`: the graph one vehicle drives on.
 
-class RoadGraph(EdgeMap):
-    """Read-only map (u, v) -> length: a network's links minus `removed`.
-
-    The link tuples of `env.index_links` are shared by every view
-    `without` derives, so a vehicle's graph costs only the links it loses.
-    So is the route memo.  `RoadGraph.of` takes both from the network; a
-    graph from a plain mapping indexes it and keeps a private memo.  There
-    is no length dict: looking up (u, v) scans u's successor tuple.
+    `RoadGraph(network)` takes the network's link tuples
+    (`Network.adjacency`) and route memo (`Network.routes`), and every
+    view `without` derives shares both, so a vehicle's graph costs only
+    the links it loses.  There is no length dict: `length(u, v)` scans
+    u's successor tuple.
     """
 
-    def __init__(self, lengths: EdgeMap):
-        self._succ, self._pred = index_links(
-            Edge(u, v, w) for (u, v), w in lengths.items())
+    def __init__(self, network: Network):
+        self._succ, self._pred = network.adjacency
+        self._routes = network.routes
         self.removed: frozenset[tuple[int, int]] = frozenset()
         # link tuples of the nodes a removed link touches, filtered
         self._cut_succ: Links = {}
         self._cut_pred: Links = {}
-        self._routes: dict[tuple, tuple[float, tuple[int, ...]]] = {}
 
-    @classmethod
-    def of(cls, network: Network) -> RoadGraph:
-        """The network's shared adjacency and route memo."""
-        graph = cls({})
-        graph._succ, graph._pred = network.adjacency
-        graph._routes = network.routes
-        return graph
+    def length(self, u: int, v: int) -> float | None:
+        """The length of link (u, v), or None when the view lacks it."""
+        if (u, v) not in self.removed:
+            for link in self._succ.get(u, ()):
+                if link.target == v:
+                    return link.length
+        return None
 
     def without(self, edges: Iterable[tuple[int, int]]) -> RoadGraph:
         """A view that also lacks `edges`; links not in it are ignored."""
-        gone = self.removed.union(e for e in edges if e in self)
+        gone = self.removed.union(
+            (u, v) for u, v in edges if self.length(u, v) is not None)
         if gone == self.removed:
             return self
         view = copy.copy(self)
@@ -94,21 +92,6 @@ class RoadGraph(EdgeMap):
                                    if (e.source, v) not in gone)
                           for _, v in gone}
         return view
-
-    def __getitem__(self, edge: tuple[int, int]) -> float:
-        if edge not in self.removed:
-            for link in self._succ.get(edge[0], ()):
-                if link.target == edge[1]:
-                    return link.length
-        raise KeyError(edge)
-
-    def __iter__(self) -> Iterator[tuple[int, int]]:
-        links = ((e.source, e.target)
-                 for out in self._succ.values() for e in out)
-        return (edge for edge in links if edge not in self.removed)
-
-    def __len__(self) -> int:
-        return sum(map(len, self._succ.values())) - len(self.removed)
 
 
 class SolveError(VdsAgentError):
@@ -137,7 +120,7 @@ class PathRequirement:
 class VehicleProblem:
     vehicle: str
     od: tuple[int, int] | None
-    edges: EdgeMap  # a RoadGraph view, or any mapping (indexed per search)
+    graph: RoadGraph
     requirement: PathRequirement | None = None
 
 
@@ -175,12 +158,12 @@ class Constraints:
         banned = self.removed_for.get(vehicle)
         return VehicleProblem(
             vehicle=vehicle, od=od,
-            edges=common if banned is None else common.without(banned),
+            graph=common if banned is None else common.without(banned),
             requirement=self.required.get(vehicle))
 
     def instance(self, env: TerminalEnv) -> SolverInstance:
         """Every vehicle of the fleet, in fleet order, on one shared graph."""
-        common = RoadGraph.of(env.network).without(self.removed)
+        common = RoadGraph(env.network).without(self.removed)
         ods = {t.agv: (t.origin, t.destination) for t in env.fleet.tasks}
         return SolverInstance(vehicles=tuple(
             self.problem(common, a.id, ods.get(a.id))
@@ -200,7 +183,7 @@ class Solution:
                 "costs": dict(self.costs)}
 
 
-def shortest_path(edges: EdgeMap, source: int, target: int,
+def shortest_path(graph: RoadGraph, source: int, target: int,
                   deadline: float = math.inf) -> tuple[float, tuple[int, ...]]:
     """Cheapest route source -> target over positive lengths.
 
@@ -217,14 +200,13 @@ def shortest_path(edges: EdgeMap, source: int, target: int,
     goes to a node settled earlier.  The cost returned is the forward sum
     of lengths along the route.
 
-    A plain mapping is indexed into a RoadGraph first.  The clock is read
-    every CLOCK_EVERY heap pops; past `deadline` the search raises timeout.
+    The clock is read every CLOCK_EVERY heap pops; past `deadline` the
+    search raises timeout.
 
     A found route is memoized under (removed links, source, target) in
-    the graph's memo (the network's, for `RoadGraph.of`, living as long
-    as it); infeasible and timed-out searches raise and store nothing.
+    the memo of the graph's network, living as long as it; infeasible and
+    timed-out searches raise and store nothing.
     """
-    graph = edges if isinstance(edges, RoadGraph) else RoadGraph(edges)
     key = (graph.removed, source, target)
     route = graph._routes.get(key)
     if route is None:
@@ -288,12 +270,13 @@ def _duplicate_edge(path: Iterable[int]) -> tuple[int, int] | None:
     return None
 
 
-def _edge_cost(edges: EdgeMap, path: tuple[int, ...]) -> float:
+def _edge_cost(graph: RoadGraph, path: tuple[int, ...]) -> float:
     total = 0.0
     for u, v in zip(path, path[1:]):
-        if (u, v) not in edges:
+        length = graph.length(u, v)
+        if length is None:
             raise SolveError("infeasible", f"edge ({u}, {v}) not available")
-        total += edges[(u, v)]
+        total += length
     return total
 
 
@@ -304,7 +287,7 @@ def _solve_vehicle(vp: VehicleProblem,
     source, target = vp.od
     req = vp.requirement
     if req is None:
-        return shortest_path(vp.edges, source, target, deadline)
+        return shortest_path(vp.graph, source, target, deadline)
     if req.kind == "exact":
         path = req.nodes
         if path[0] != source or path[-1] != target:
@@ -316,11 +299,11 @@ def _solve_vehicle(vp: VehicleProblem,
         if dup is not None:
             raise SolveError("degenerate_edge_reuse",
                              f"exact path reuses edge {dup}")
-        return _edge_cost(vp.edges, path), path
+        return _edge_cost(vp.graph, path), path
     # subpath: shortest head and tail around the forced segment
-    forced_cost = _edge_cost(vp.edges, req.nodes)
-    head_cost, head = shortest_path(vp.edges, source, req.nodes[0], deadline)
-    tail_cost, tail = shortest_path(vp.edges, req.nodes[-1], target, deadline)
+    forced_cost = _edge_cost(vp.graph, req.nodes)
+    head_cost, head = shortest_path(vp.graph, source, req.nodes[0], deadline)
+    tail_cost, tail = shortest_path(vp.graph, req.nodes[-1], target, deadline)
     full = head + req.nodes[1:] + tail[1:]
     dup = _duplicate_edge(full)
     if dup is not None:

@@ -9,7 +9,9 @@ retriever's earlier scorer, which re-counts every term in each token
 list.  `rendered_env_digest`, `regex_tokenize` and `key_function_top_k`
 are the earlier digest renderer, tokenizer and top-k ranking.
 `fraction_exact_p` is the exact r x 2 test computed with hypergeometric
-probabilities as Fractions.
+probabilities as Fractions.  `network_from` turns a link -> length dict
+into the `Network` the solver reads, so an expected value can come from
+the dict while the solver runs on the network.
 """
 
 from __future__ import annotations
@@ -20,10 +22,10 @@ import random
 import re
 import string
 from fractions import Fraction
-from typing import Any, Sequence
+from typing import Any, Iterable, Sequence
 
 from vdsagent import dsl
-from vdsagent.env import TerminalEnv
+from vdsagent.env import Edge, Network, Node, TerminalEnv
 from vdsagent.injection import MODELER_SCHEMES, RECOVERY_REFLECTION
 from vdsagent.knowledge import BM25_B, BM25_K1
 
@@ -168,6 +170,16 @@ def grid_edges(side: int, length: float = 10) -> EdgeMap:
         if row + 1 < side:
             edges[(node, node + side)] = edges[(node + side, node)] = length
     return edges
+
+
+def network_from(edges: EdgeMap, nodes: Iterable[int]) -> Network:
+    """A network of `nodes` and the links of `edges`, in sorted order.
+
+    Nodes are explicit so that a node without links still exists.
+    """
+    return Network(nodes=tuple(Node(n) for n in nodes),
+                   edges=tuple(Edge(u, v, w)
+                               for (u, v), w in sorted(edges.items())))
 
 
 def path_heap_dijkstra(edges: EdgeMap, source: int,

@@ -71,8 +71,8 @@ def test_criterion_1_solver_exactness():
                 requirement = solver.PathRequirement("exact", nodes)
                 cost = helpers.path_cost(edges, nodes)
                 brute = None if cost is None else (cost, nodes)
-        problem = solver.VehicleProblem(vehicle="V", od=(s, t),
-                                        edges=dict(edges),
+        graph = solver.RoadGraph(helpers.network_from(edges, range(n)))
+        problem = solver.VehicleProblem(vehicle="V", od=(s, t), graph=graph,
                                         requirement=requirement)
         try:
             sol = solver.solve(solver.SolverInstance(vehicles=(problem,)))

@@ -3,6 +3,7 @@ import math
 import random
 from collections import Counter
 from functools import cached_property
+from pathlib import Path
 
 import pytest
 
@@ -290,7 +291,7 @@ class TestRunBenchmark:
         assert len(rows) == 3
         for row in rows:
             assert row["trace"].endswith(f"{row['instance_id']}.trace.json")
-            data = json.loads(open(row["trace"]).read())
+            data = json.loads(Path(row["trace"]).read_text())
             assert data["status"] == "solved"
         assert len(list((tmp_path / "traces").glob("*.trace.json"))) == 3
         # one observation per level: the exact test still works, ANOVA cannot

@@ -4,7 +4,6 @@ import pytest
 
 import helpers
 from vdsagent import injection as inj
-from vdsagent import solver
 from vdsagent.cli import (DEFAULT_CONFIG_FILE, DEFAULT_NETWORK_FILE,
                           DEFAULT_REQUIREMENTS_FILE, main)
 from vdsagent.env import parse_environment
@@ -262,8 +261,8 @@ class TestOracle:
         lengths = env.network.lengths()
         expected = 0.0
         for task in env.fleet.tasks:
-            cost, _ = solver.shortest_path(lengths, task.origin,
-                                           task.destination)
+            cost, _ = helpers.path_heap_dijkstra(lengths, task.origin,
+                                                 task.destination)
             expected += float(cost)
         assert f"objective: {expected:g}" in stdout
         assert "AGV-1:" in stdout and "->" in stdout

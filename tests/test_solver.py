@@ -4,8 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import (grid_edges, min_simple_path, min_walk, path_cost,
-                     path_heap_dijkstra)
+from helpers import (grid_edges, min_simple_path, min_walk, network_from,
+                     path_cost, path_heap_dijkstra)
 from vdsagent import bench, dsl
 from vdsagent import injection as inj
 from vdsagent import solver as sv
@@ -43,34 +43,47 @@ def grid_env(task_specs):
     return env_for(default_network(), task_specs)
 
 
+def graph_of(edges, nodes):
+    """The solver's view of the network built from `edges` over `nodes`."""
+    return sv.RoadGraph(network_from(edges, nodes))
+
+
+@pytest.fixture
+def grid_graph(grid_lengths):
+    """The default grid, built from `grid_lengths`, with a fresh memo."""
+    return graph_of(grid_lengths, range(20))
+
+
 class TestShortestPath:
     def test_triangle_fixture(self):
         # brute force first: direct edge costs 3, detour costs 2
         assert min_simple_path(triangle_edges(), 0, 2) == \
             (Fraction(2), (0, 1, 2))
-        assert sv.shortest_path(triangle_edges(), 0, 2) == (2.0, (0, 1, 2))
+        assert sv.shortest_path(graph_of(triangle_edges(), range(3)), 0, 2) \
+            == (2.0, (0, 1, 2))
 
-    def test_default_grid_fixture(self, grid_lengths):
+    def test_default_grid_fixture(self, grid_lengths, grid_graph):
         assert min_simple_path(grid_lengths, 0, 4) == \
             (Fraction(40), (0, 1, 2, 3, 4))
-        assert sv.shortest_path(grid_lengths, 0, 4) == \
+        assert sv.shortest_path(grid_graph, 0, 4) == \
             (40.0, (0, 1, 2, 3, 4))
 
-    def test_lexicographic_tie_break(self, grid_lengths):
+    def test_lexicographic_tie_break(self, grid_graph):
         # many 40-cost routes 0 -> 4 exist; the returned one is lex-least
-        cost, path = sv.shortest_path(grid_lengths, 0, 4)
+        cost, path = sv.shortest_path(grid_graph, 0, 4)
         assert cost == 40.0
         assert path == (0, 1, 2, 3, 4)
-        cost, path = sv.shortest_path(grid_lengths, 0, 12)
+        cost, path = sv.shortest_path(grid_graph, 0, 12)
         assert cost == 40.0
         assert path == (0, 1, 2, 7, 12)
 
     def test_source_equals_target(self):
-        assert sv.shortest_path(triangle_edges(), 1, 1) == (0.0, (1,))
+        assert sv.shortest_path(graph_of(triangle_edges(), range(3)), 1, 1) \
+            == (0.0, (1,))
 
     def test_infeasible(self):
         with pytest.raises(sv.SolveError) as exc:
-            sv.shortest_path({(0, 1): 1}, 1, 0)
+            sv.shortest_path(graph_of({(0, 1): 1}, range(2)), 1, 0)
         assert exc.value.kind == "infeasible"
 
     def test_random_graphs_match_brute_force(self):
@@ -85,12 +98,13 @@ class TestShortestPath:
                 edges = {p: rng.randrange(1, 20 * scale) / scale
                          for p in pairs[:rng.randrange(1, 11)]}
                 source, target = rng.sample(nodes, 2)
+                graph = graph_of(edges, nodes)
                 expected = min_simple_path(edges, source, target)
                 if expected is None:
                     with pytest.raises(sv.SolveError):
-                        sv.shortest_path(edges, source, target)
+                        sv.shortest_path(graph, source, target)
                     continue
-                cost, path = sv.shortest_path(edges, source, target)
+                cost, path = sv.shortest_path(graph, source, target)
                 assert cost == sum(edges[e] for e in zip(path, path[1:]))
                 if scale == 1:
                     assert Fraction(cost) == expected[0]
@@ -115,20 +129,14 @@ class TestShortestPath:
                     edges.pop((u, v), None)
                     edges.pop((v, u), None)
                 source, target = rng.sample(range(side * side), 2)
+                graph = graph_of(edges, range(side * side))
                 expected = path_heap_dijkstra(edges, source, target)
                 if expected is None:
                     with pytest.raises(sv.SolveError) as exc:
-                        sv.shortest_path(edges, source, target)
+                        sv.shortest_path(graph, source, target)
                     assert exc.value.kind == "infeasible"
                 else:
-                    assert sv.shortest_path(edges, source, target) == expected
-
-
-def network_from(edges):
-    nodes = sorted({node for edge in edges for node in edge})
-    return Network(nodes=tuple(Node(n) for n in nodes),
-                   edges=tuple(Edge(u, v, w)
-                               for (u, v), w in sorted(edges.items())))
+                    assert sv.shortest_path(graph, source, target) == expected
 
 
 class TestRouteMemo:
@@ -150,15 +158,16 @@ class TestRouteMemo:
         rng = random.Random(5)
         for side in (4, 8, 12):
             full = grid_edges(side)
-            network = network_from(full)
-            base = sv.RoadGraph.of(network)
+            network = network_from(full, range(side * side))
+            base = sv.RoadGraph(network)
             for _ in range(20):
                 cut = rng.sample(sorted(full),
                                  rng.randrange(0, len(full) // 5))
+                kept = {e: w for e, w in full.items() if e not in cut}
                 for _ in range(5):
                     source, target = rng.sample(range(side * side), 2)
                     view = base.without(cut)  # a new view, an equal key
-                    expected = path_heap_dijkstra(dict(view), source, target)
+                    expected = path_heap_dijkstra(kept, source, target)
                     if expected is None:
                         with pytest.raises(sv.SolveError):
                             sv.shortest_path(view, source, target)
@@ -178,7 +187,7 @@ class TestRouteMemo:
 
     def test_views_with_different_removed_sets_keep_apart(self):
         network = default_network()
-        graph = sv.RoadGraph.of(network)
+        graph = sv.RoadGraph(network)
         closed = graph.without({(6, 7), (7, 6)})
         banned = graph.without({(6, 7)})
         assert sv.shortest_path(closed, 6, 7) == (30.0, (6, 1, 2, 7))
@@ -194,23 +203,22 @@ class TestRouteMemo:
     def test_equal_networks_keep_their_own_memo(self, searches):
         first, second = default_network(), default_network()
         assert first == second and first is not second
-        route = sv.shortest_path(sv.RoadGraph.of(first), 0, 19)
+        route = sv.shortest_path(sv.RoadGraph(first), 0, 19)
+        assert route == path_heap_dijkstra(first.lengths(), 0, 19)
         assert list(first.routes.values()) == [route]
         assert second.routes == {}
-        # a graph indexed from a plain mapping keeps a private memo
-        assert sv.shortest_path(second.lengths(), 0, 19) == route
-        assert sv.shortest_path(sv.RoadGraph(second.lengths()), 0, 19) \
-            == route
-        assert second.routes == {}
-        assert sv.shortest_path(sv.RoadGraph.of(second), 0, 19) == route
-        assert len(searches) == 4
+        # a new view of the same network reads the same memo
+        assert sv.shortest_path(sv.RoadGraph(first), 0, 19) is route
+        assert sv.shortest_path(sv.RoadGraph(second), 0, 19) == route
+        assert list(second.routes.values()) == [route]
+        assert len(searches) == 2
         # the memo is no field: equality and hashing ignore it
         assert first == second and hash(first) == hash(second)
 
     def test_timed_out_search_is_not_stored(self, monkeypatch):
-        network = network_from(grid_edges(40))
+        network = network_from(grid_edges(40), range(40 * 40))
         problem = sv.VehicleProblem("v", (0, 40 * 40 - 1),
-                                    sv.RoadGraph.of(network))
+                                    sv.RoadGraph(network))
         reads = []
 
         def clock():
@@ -229,7 +237,7 @@ class TestRouteMemo:
 
     def test_infeasible_search_is_not_stored(self, searches):
         network = Network(nodes=(Node(0), Node(1)), edges=(Edge(0, 1, 1),))
-        graph = sv.RoadGraph.of(network)
+        graph = sv.RoadGraph(network)
         for _ in range(2):
             with pytest.raises(sv.SolveError) as exc:
                 sv.shortest_path(graph, 1, 0)
@@ -263,7 +271,7 @@ class TestSharedIndex:
     def test_graphs_and_views_share_the_networks_adjacency(self):
         network = default_network()
         succ, pred = network.adjacency
-        graphs = [sv.RoadGraph.of(network), sv.RoadGraph.of(network)]
+        graphs = [sv.RoadGraph(network), sv.RoadGraph(network)]
         cuts = ((), {(6, 7)}, {(6, 7), (7, 6)}, {(0, 1), (98, 99)})
         for graph in list(graphs):
             graphs += [graph.without(cut) for cut in cuts]
@@ -284,15 +292,14 @@ class TestSharedIndex:
     def test_golden_suite_indexes_each_network_once(self, monkeypatch):
         # 3 instance generations, 15 oracle solves and 45 binds
         networks, indexes = [], []
-        of = sv.RoadGraph.of.__func__
+        init = sv.RoadGraph.__init__
 
-        def recorded(cls, network):
-            graph = of(cls, network)
+        def recorded(graph, network):
+            init(graph, network)
             networks.append(network)
             indexes.append(graph._succ)
-            return graph
 
-        monkeypatch.setattr(sv.RoadGraph, "of", classmethod(recorded))
+        monkeypatch.setattr(sv.RoadGraph, "__init__", recorded)
         report = bench.run_benchmark(
             bench.SuiteConfig(seed=3), load_seed_kb(),
             bench.scripted_provider(inj.golden_script()))
@@ -301,46 +308,42 @@ class TestSharedIndex:
         assert len({id(network) for network in networks}) == 3
         assert len({id(index) for index in indexes}) == 3
 
-    def test_views_behave_as_filtered_mappings(self):
+    def test_views_filter_the_networks_links(self):
         rng = random.Random(12)
         for _ in range(200):
             ids, lengths, network = random_digraph(rng)
             absent = [(u, v) for u in ids for v in ids
                       if u != v and (u, v) not in lengths][:3]
             absent += [(ids[0], 5200), (5201, 5202)]
-            for base in (sv.RoadGraph.of(network), sv.RoadGraph(lengths)):
-                assert dict(base) == lengths and len(base) == len(lengths)
-                for _ in range(3):
-                    cut = set(rng.sample(sorted(lengths),
-                                         rng.randrange(0, len(lengths) + 1)))
-                    cut.update(rng.sample(absent, 2))
-                    view = base.without(cut)
-                    expected = {e: w for e, w in lengths.items()
-                                if e not in cut}
-                    assert dict(view) == expected
-                    assert len(view) == len(expected)
-                    for edge in (*lengths, *absent):
-                        assert (edge in view) == (edge in expected)
-                        if edge in expected:
-                            assert view[edge] == expected[edge]
-                        else:
-                            with pytest.raises(KeyError):
-                                view[edge]
-                    more = set(rng.sample(sorted(expected),
-                                          min(2, len(expected))))
-                    assert dict(view.without(more)) == {
-                        e: w for e, w in expected.items() if e not in more}
-                    nodes = [n.id for n in network.nodes]
-                    for _ in range(4):
-                        source, target = rng.sample(nodes, 2)
-                        route = path_heap_dijkstra(expected, source, target)
-                        if route is None:
-                            with pytest.raises(sv.SolveError) as exc:
-                                sv.shortest_path(view, source, target)
-                            assert exc.value.kind == "infeasible"
-                        else:
-                            assert sv.shortest_path(view, source,
-                                                    target) == route
+            base = sv.RoadGraph(network)
+            for edge in (*lengths, *absent):
+                assert base.length(*edge) == lengths.get(edge)
+            for _ in range(6):
+                cut = set(rng.sample(sorted(lengths),
+                                     rng.randrange(0, len(lengths) + 1)))
+                cut.update(rng.sample(absent, 2))
+                view = base.without(cut)
+                expected = {e: w for e, w in lengths.items() if e not in cut}
+                assert view.removed == {e for e in cut if e in lengths}
+                for edge in (*lengths, *absent):
+                    assert view.length(*edge) == expected.get(edge)
+                more = set(rng.sample(sorted(expected),
+                                      min(2, len(expected))))
+                narrower = view.without(more)
+                for edge in (*lengths, *absent):
+                    assert narrower.length(*edge) == (
+                        None if edge in more else expected.get(edge))
+                nodes = [n.id for n in network.nodes]
+                for _ in range(4):
+                    source, target = rng.sample(nodes, 2)
+                    route = path_heap_dijkstra(expected, source, target)
+                    if route is None:
+                        with pytest.raises(sv.SolveError) as exc:
+                            sv.shortest_path(view, source, target)
+                        assert exc.value.kind == "infeasible"
+                    else:
+                        assert sv.shortest_path(view, source,
+                                                target) == route
 
 
 def single(problem):
@@ -354,7 +357,8 @@ class TestSolve:
                  if e not in {(6, 7), (7, 6)}}
         # positive weights: min over edge-simple walks = min over simple paths
         assert min_simple_path(edges, 6, 7) == (Fraction(30), (6, 1, 2, 7))
-        cost, path = single(sv.VehicleProblem("v", (6, 7), edges))
+        cost, path = single(sv.VehicleProblem("v", (6, 7),
+                                              graph_of(edges, range(20))))
         assert (cost, path) == (30.0, (6, 1, 2, 7))
 
     def test_four_cycle_subpath_revisits_node(self):
@@ -363,12 +367,13 @@ class TestSolve:
         assert min_walk(edges, 0, 2, forced=(3, 0)) == \
             (Fraction(4), (0, 3, 0, 1, 2))
         cost, path = single(sv.VehicleProblem(
-            "v", (0, 2), edges, sv.PathRequirement("subpath", (3, 0))))
+            "v", (0, 2), graph_of(edges, range(4)),
+            sv.PathRequirement("subpath", (3, 0))))
         assert (cost, path) == (4.0, (0, 3, 0, 1, 2))
 
-    def test_subpath_concatenation_cost(self, grid_lengths):
+    def test_subpath_concatenation_cost(self, grid_graph):
         cost, path = single(sv.VehicleProblem(
-            "v", (0, 14), grid_lengths,
+            "v", (0, 14), grid_graph,
             sv.PathRequirement("subpath", (6, 10, 11))))
         assert cost == 74.0
         assert path[0] == 0 and path[-1] == 14
@@ -378,7 +383,7 @@ class TestSolve:
         edges = triangle_edges()
         del edges[(0, 2)]
         with pytest.raises(sv.SolveError) as exc:
-            single(sv.VehicleProblem("v", (0, 2), edges,
+            single(sv.VehicleProblem("v", (0, 2), graph_of(edges, range(3)),
                                      sv.PathRequirement("subpath", (0, 2))))
         assert exc.value.kind == "infeasible"
 
@@ -387,73 +392,76 @@ class TestSolve:
         # must re-drive (1, 2), which binary edge variables cannot express
         edges = {(0, 1): 1, (1, 0): 1, (1, 2): 1, (2, 1): 1}
         with pytest.raises(sv.SolveError) as exc:
-            single(sv.VehicleProblem("v", (0, 2), edges,
+            single(sv.VehicleProblem("v", (0, 2), graph_of(edges, range(3)),
                                      sv.PathRequirement("subpath", (2, 1))))
         assert exc.value.kind == "degenerate_edge_reuse"
 
-    def test_exact_path_cost_and_validation(self, grid_lengths):
+    def test_exact_path_cost_and_validation(self, grid_lengths, grid_graph):
         cost, path = single(sv.VehicleProblem(
-            "v", (0, 2), grid_lengths,
+            "v", (0, 2), grid_graph,
             sv.PathRequirement("exact", (0, 5, 6, 7, 2))))
         assert Fraction(cost) == path_cost(grid_lengths, (0, 5, 6, 7, 2))
         assert path == (0, 5, 6, 7, 2)
 
-    def test_exact_path_endpoint_mismatch(self, grid_lengths):
+    def test_exact_path_endpoint_mismatch(self, grid_graph):
         with pytest.raises(sv.SolveError) as exc:
-            single(sv.VehicleProblem("v", (0, 2), grid_lengths,
+            single(sv.VehicleProblem("v", (0, 2), grid_graph,
                                      sv.PathRequirement("exact", (0, 1))))
         assert exc.value.kind == "bind_conflict"
 
-    def test_exact_path_missing_edge(self, grid_lengths):
+    def test_exact_path_missing_edge(self, grid_graph):
         with pytest.raises(sv.SolveError) as exc:
-            single(sv.VehicleProblem("v", (0, 2), grid_lengths,
+            single(sv.VehicleProblem("v", (0, 2), grid_graph,
                                      sv.PathRequirement("exact", (0, 2))))
         assert exc.value.kind == "infeasible"
 
     def test_exact_path_edge_reuse(self):
-        edges = {(0, 1): 1, (1, 0): 1}
+        graph = graph_of({(0, 1): 1, (1, 0): 1}, range(2))
         with pytest.raises(sv.SolveError) as exc:
-            single(sv.VehicleProblem("v", (0, 1), edges,
+            single(sv.VehicleProblem("v", (0, 1), graph,
                                      sv.PathRequirement(
                                          "exact", (0, 1, 0, 1))))
         assert exc.value.kind == "degenerate_edge_reuse"
 
     def test_error_names_vehicle(self):
         with pytest.raises(sv.SolveError) as exc:
-            single(sv.VehicleProblem("AGV-17", (0, 1), {(1, 0): 1}))
+            single(sv.VehicleProblem("AGV-17", (0, 1),
+                                     graph_of({(1, 0): 1}, range(2))))
         assert "AGV-17" in exc.value.detail
 
     def test_idle_vehicle_costs_nothing(self):
+        graph = graph_of(triangle_edges(), range(3))
         solution = sv.solve(sv.SolverInstance(vehicles=(
-            sv.VehicleProblem("idle", None, triangle_edges()),
-            sv.VehicleProblem("busy", (0, 2), triangle_edges()),
+            sv.VehicleProblem("idle", None, graph),
+            sv.VehicleProblem("busy", (0, 2), graph),
         )))
         assert solution.costs == {"idle": 0.0, "busy": 2.0}
         assert solution.paths["idle"] == ()
         assert solution.objective == 2.0
 
-    def test_objective_sums_vehicles(self, grid_lengths):
+    def test_objective_sums_vehicles(self, grid_graph):
         problems = tuple(
-            sv.VehicleProblem(f"v{i}", (i, i + 5), grid_lengths)
+            sv.VehicleProblem(f"v{i}", (i, i + 5), grid_graph)
             for i in range(5))
         solution = sv.solve(sv.SolverInstance(vehicles=problems))
         assert solution.objective == sum(solution.costs.values())
         assert solution.objective == 50.0
 
     def test_duplicate_vehicle_rejected(self):
+        graph = graph_of(triangle_edges(), range(3))
         with pytest.raises(sv.SolveError) as exc:
             sv.SolverInstance(vehicles=(
-                sv.VehicleProblem("v", (0, 1), triangle_edges()),
-                sv.VehicleProblem("v", (0, 2), triangle_edges()),
+                sv.VehicleProblem("v", (0, 1), graph),
+                sv.VehicleProblem("v", (0, 2), graph),
             ))
         assert exc.value.kind == "bind_conflict"
 
-    def test_timeout(self, monkeypatch, grid_lengths):
+    def test_timeout(self, monkeypatch, grid_graph):
         clock = iter([0.0, 1000.0])
         monkeypatch.setattr(sv, "_now", lambda: next(clock))
         with pytest.raises(sv.SolveError) as exc:
             sv.solve(sv.SolverInstance(vehicles=(
-                sv.VehicleProblem("v", (0, 4), grid_lengths),)),
+                sv.VehicleProblem("v", (0, 4), grid_graph),)),
                 time_limit=300.0)
         assert exc.value.kind == "timeout"
 
@@ -468,32 +476,33 @@ class TestSolve:
 
         monkeypatch.setattr(sv, "_now", clock)
         with pytest.raises(sv.SolveError) as exc:
-            single(sv.VehicleProblem("v", (0, 40 * 40 - 1), grid_edges(40)))
+            single(sv.VehicleProblem("v", (0, 40 * 40 - 1),
+                                     graph_of(grid_edges(40), range(40 * 40))))
         assert exc.value.kind == "timeout"
         assert len(reads) == 3
 
     @pytest.mark.parametrize("limit", (0.0, -1.0, math.nan))
-    def test_bad_time_limit_rejected(self, grid_lengths, limit):
-        problem = sv.VehicleProblem("v", (0, 4), grid_lengths)
+    def test_bad_time_limit_rejected(self, grid_graph, limit):
+        problem = sv.VehicleProblem("v", (0, 4), grid_graph)
         with pytest.raises(ConfigError):
             sv.solve(sv.SolverInstance(vehicles=(problem,)), limit)
 
-    def test_infinite_time_limit_means_none(self, grid_lengths):
-        problem = sv.VehicleProblem("v", (0, 4), grid_lengths)
+    def test_infinite_time_limit_means_none(self, grid_graph):
+        problem = sv.VehicleProblem("v", (0, 4), grid_graph)
         assert sv.solve(sv.SolverInstance(vehicles=(problem,)), math.inf) == \
             sv.solve(sv.SolverInstance(vehicles=(problem,)))
 
-    def test_subpath_relaxation_property(self, grid_lengths):
+    def test_subpath_relaxation_property(self, grid_lengths, grid_graph):
         rng = random.Random(3)
         nodes = sorted({u for u, _ in grid_lengths})
         for _ in range(40):
             source, target = rng.sample(nodes, 2)
             u, v = rng.choice(list(grid_lengths))
             free_cost, _ = single(sv.VehicleProblem("v", (source, target),
-                                                    grid_lengths))
+                                                    grid_graph))
             try:
                 forced_cost, _ = single(sv.VehicleProblem(
-                    "v", (source, target), grid_lengths,
+                    "v", (source, target), grid_graph,
                     sv.PathRequirement("subpath", (u, v))))
             except sv.SolveError:
                 continue
@@ -519,22 +528,22 @@ class TestBind:
         env = grid_env([("A", "T1", 6, 7), ("B", "T2", 7, 6)])
         instance = bound("  remove_edge (6, 7)", env)
         for vp in instance.vehicles:
-            assert (6, 7) not in vp.edges
-            assert (7, 6) in vp.edges
+            assert vp.graph.length(6, 7) is None
+            assert vp.graph.length(7, 6) == 10
 
     def test_forbid_edge_scopes_to_vehicle(self):
         env = grid_env([("A", "T1", 5, 6), ("B", "T2", 5, 6)])
         instance = bound('  forbid_edge vehicle "A" (5, 6)', env)
         by_id = {vp.vehicle: vp for vp in instance.vehicles}
-        assert (5, 6) not in by_id["A"].edges
-        assert (5, 6) in by_id["B"].edges
+        assert by_id["A"].graph.length(5, 6) is None
+        assert by_id["B"].graph.length(5, 6) == 10
 
     def test_forbid_edge_task_subject_resolves_to_agv(self):
         env = grid_env([("A", "T1", 5, 6), ("B", "T2", 5, 6)])
         instance = bound('  forbid_edge task "T2" (5, 6)', env)
         by_id = {vp.vehicle: vp for vp in instance.vehicles}
-        assert (5, 6) in by_id["A"].edges
-        assert (5, 6) not in by_id["B"].edges
+        assert by_id["A"].graph.length(5, 6) == 10
+        assert by_id["B"].graph.length(5, 6) is None
 
     def test_requirement_attached(self):
         env = grid_env([("A", "T1", 0, 14)])
@@ -614,8 +623,9 @@ class TestOracleSolve:
     def test_no_scenario_is_unconstrained(self, closure_instance):
         env, _ = closure_instance
         plain = sv.oracle_solve(env, None)
+        lengths = env.network.lengths()
         expected = sum(
-            sv.shortest_path(env.network.lengths(), t.origin, t.destination)[0]
+            path_heap_dijkstra(lengths, t.origin, t.destination)[0]
             for t in env.fleet.tasks)
         assert plain.objective == expected
 
@@ -661,6 +671,11 @@ class TestOracleSolve:
             assert solution.objective == sum(solution.costs.values())
 
 
+def summary(vp):
+    """What a vehicle problem holds, its graph as the links it lacks."""
+    return vp.vehicle, vp.od, vp.graph.removed, vp.requirement
+
+
 class TestConstraints:
     @pytest.mark.parametrize("kind", SCENARIO_KINDS)
     @pytest.mark.parametrize("seed", (3, 42))
@@ -669,7 +684,8 @@ class TestConstraints:
         for env, spec in generate_instances(seed, kind, 6):
             tasks = {t.id: t.agv for t in env.fleet.tasks}
             expected = sv.scenario_constraints(spec, tasks).instance(env)
-            assert sv.bind(ast, env) == expected
+            assert list(map(summary, sv.bind(ast, env).vehicles)) == \
+                list(map(summary, expected.vehicles))
 
     def test_scenario_closures_cover_both_directions(self):
         closure = sv.scenario_constraints(
@@ -700,17 +716,18 @@ class TestConstraints:
         assert [vp.vehicle for vp in instance.vehicles] == ["A", "B", "C"]
         a, b, c = instance.vehicles
         assert (a.od, b.od, c.od) == ((0, 14), (5, 7), None)
-        assert (6, 7) not in a.edges and (7, 6) in a.edges
-        assert (5, 6) in a.edges and (5, 6) not in b.edges
+        assert a.graph.length(6, 7) is None and a.graph.length(7, 6) == 10
+        assert a.graph.length(5, 6) == 10 and b.graph.length(5, 6) is None
         assert (a.requirement, b.requirement) == (requirement, None)
-        common = sv.RoadGraph(env.network.lengths()).without({(6, 7)})
-        assert constraints.problem(common, "B", (5, 7)) == b
+        common = sv.RoadGraph(env.network).without({(6, 7)})
+        assert summary(constraints.problem(common, "B", (5, 7))) == \
+            summary(b) == ("B", (5, 7), {(6, 7), (5, 6)}, None)
 
     def test_unbanned_vehicles_share_the_common_view(self, monkeypatch):
         env = grid_env([(f"V{k}", f"T{k}", k, 19 - k) for k in range(6)])
         constraints = sv.Constraints(removed={(6, 7)},
                                      removed_for={"V2": {(5, 6), (0, 99)}})
-        common = sv.RoadGraph.of(env.network).without({(6, 7)})
+        common = sv.RoadGraph(env.network).without({(6, 7)})
         views = []
         without = sv.RoadGraph.without
 
@@ -724,8 +741,10 @@ class TestConstraints:
         assert len(views) == 1  # the banned vehicle's view only
         for problem in problems:
             if problem.vehicle == "V2":
-                assert problem.edges is views[0]
-                assert dict(problem.edges) == {
-                    e: w for e, w in common.items() if e != (5, 6)}
+                assert problem.graph is views[0]
+                assert problem.graph.removed == {(6, 7), (5, 6)}
+                for (u, v), w in env.network.lengths().items():
+                    assert problem.graph.length(u, v) == (
+                        None if (u, v) in {(6, 7), (5, 6)} else w)
             else:
-                assert problem.edges is common
+                assert problem.graph is common
