@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import re
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any
@@ -82,6 +83,8 @@ class Edge:
 
 
 Links = dict[int, tuple[Edge, ...]]
+# vehicle -> (origin, destination) of its task, or None without one
+Trips = Mapping[str, tuple[int, int] | None]
 
 
 @dataclass(frozen=True)
@@ -139,6 +142,12 @@ class Network:
     @cached_property
     def routes(self) -> dict[tuple, tuple[float, tuple[int, ...]]]:
         """`solver.shortest_path`'s route memo for this immutable network."""
+        return {}
+
+    @cached_property
+    def cuts(self) -> dict[frozenset, tuple[frozenset, Links, Links]]:
+        """`solver.RoadGraph.without`'s memo: per removed-link set, that
+        set and the filtered out- and in-links of the nodes it touches."""
         return {}
 
     @cached_property
@@ -202,6 +211,12 @@ class FleetConfig:
             if t.id == task_id:
                 return t
         return None
+
+    @cached_property
+    def trips(self) -> Trips:
+        """Each AGV's task OD pair, or None without a task, in fleet order."""
+        ods = {t.agv: (t.origin, t.destination) for t in self.tasks}
+        return {a.id: ods.get(a.id) for a in self.agvs}
 
     @cached_property
     def digest(self) -> str:

@@ -112,7 +112,7 @@ def _one_way_objective_differs(env: TerminalEnv, spec: ScenarioSpec) -> bool:
     """Does removing only (6,7) change Z versus the full closure?"""
     full = oracle_solve(env, spec).objective
     ast = dsl.parse(ONE_WAY_CLOSURE_PROGRAM)
-    one_way = solve(bind(ast, env)).objective
+    one_way = solve(bind(ast, env), env.network, env.fleet.trips).objective
     return abs(full - one_way) > 1e-9
 
 

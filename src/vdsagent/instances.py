@@ -21,8 +21,7 @@ import random
 from .env import (Agv, FleetConfig, Requirements, ScenarioSpec, Task,
                   TerminalEnv, default_network, scenario_prompt)
 from .errors import InfeasibleGeneration, SchemaError
-from .solver import (RoadGraph, SolveError, SolverInstance,
-                     scenario_constraints, solve)
+from .solver import SolveError, scenario_constraints, solve
 
 FLEET_SIZE = 30
 
@@ -54,7 +53,6 @@ def generate_instances(seed: int, kind: str,
     node_ids = sorted(network.node_ids())
     constraints = scenario_constraints(
         spec, {f"T{k}": f"AGV-{k}" for k in range(1, FLEET_SIZE + 1)})
-    common = RoadGraph(network).without(constraints.removed)
     instances = []
     for i in range(count):
         rng = random.Random(f"{seed}:{kind}:{i}")
@@ -73,9 +71,8 @@ def generate_instances(seed: int, kind: str,
                 od = (rng.choice(node_ids), rng.choice(node_ids))
                 if od[0] == od[1]:
                     continue
-                problem = constraints.problem(common, agv_id, od)
                 try:
-                    solve(SolverInstance(vehicles=(problem,)))
+                    solve(constraints, network, {agv_id: od})
                 except SolveError:
                     continue
                 break

@@ -7,14 +7,16 @@ directed edge; among equal-cost paths the lexicographically smallest
 node sequence wins, which makes every result deterministic.
 
 `bind` (from a program) and `scenario_constraints` (from a scenario)
-fill one `Constraints` record, which alone builds vehicle problems.
+fill one `Constraints` record, which `solve` reads in one walk over the
+fleet's trips: `solve_route` routes each vehicle on the common view, or
+on a view of its own if it has links of its own removed.
 A network's links are indexed once, in `Network.adjacency`: per node,
 the network's own outgoing `Edge` objects sorted by target and incoming
 ones sorted by source.  Every `RoadGraph` is a view of one network that
-shares those tuples, and each vehicle gets a view without its removed
-links.  A search runs Dijkstra from the target over reversed links until
-the source settles, then walks forward from the source, always to the
-smallest neighbour on a shortest route.
+shares those tuples and, per removed-link set, one filtered copy of the
+tuples its removed links touch.  A search runs Dijkstra from the target
+over reversed links until the source settles, then walks forward from
+the source, always to the smallest neighbour on a shortest route.
 
 Found routes are memoized on the `env.Network` a view comes from, keyed
 by (removed links, source, target) and kept as long as that network
@@ -24,7 +26,6 @@ route once.  Infeasible and timed-out searches are not stored.
 
 from __future__ import annotations
 
-import copy
 import heapq
 import math
 import time
@@ -33,7 +34,7 @@ from dataclasses import dataclass, field
 from typing import Any, Iterable
 
 from . import dsl
-from .env import Links, Network, ScenarioSpec, TerminalEnv
+from .env import Links, Network, ScenarioSpec, TerminalEnv, Trips
 from .errors import ConfigError, VdsAgentError
 
 DEFAULT_TIME_LIMIT = 300.0
@@ -55,15 +56,17 @@ class RoadGraph:
     """A network's links minus `removed`: the graph one vehicle drives on.
 
     `RoadGraph(network)` takes the network's link tuples
-    (`Network.adjacency`) and route memo (`Network.routes`), and every
-    view `without` derives shares both, so a vehicle's graph costs only
-    the links it loses.  There is no length dict: `length(u, v)` scans
-    u's successor tuple.
+    (`Network.adjacency`), route memo (`Network.routes`) and cut memo
+    (`Network.cuts`), and every view `without` derives shares all three,
+    so a vehicle's graph costs only the links it loses, filtered once per
+    distinct removed-link set.  There is no length dict: `length(u, v)`
+    scans u's successor tuple.
     """
 
     def __init__(self, network: Network):
         self._succ, self._pred = network.adjacency
         self._routes = network.routes
+        self._cuts = network.cuts
         self.removed: frozenset[tuple[int, int]] = frozenset()
         # link tuples of the nodes a removed link touches, filtered
         self._cut_succ: Links = {}
@@ -78,19 +81,29 @@ class RoadGraph:
         return None
 
     def without(self, edges: Iterable[tuple[int, int]]) -> RoadGraph:
-        """A view that also lacks `edges`; links not in it are ignored."""
+        """A view that also lacks `edges`; links not in it are ignored.
+
+        Per removed-link set, `Network.cuts` keeps one set object, so
+        route-memo keys compare by identity, and the filtered tuples.  It
+        holds no view: a view holding the memo that holds it would be a
+        reference cycle, outliving its network until a full collection.
+        """
         gone = self.removed.union(
             (u, v) for u, v in edges if self.length(u, v) is not None)
         if gone == self.removed:
             return self
-        view = copy.copy(self)
-        view.removed = gone
-        view._cut_succ = {u: tuple(e for e in self._succ[u]
-                                   if (u, e.target) not in gone)
-                          for u, _ in gone}
-        view._cut_pred = {v: tuple(e for e in self._pred[v]
-                                   if (e.source, v) not in gone)
-                          for _, v in gone}
+        cut = self._cuts.get(gone)
+        if cut is None:
+            cut = self._cuts[gone] = (
+                gone,
+                {u: tuple(e for e in self._succ[u]
+                          if (u, e.target) not in gone) for u, _ in gone},
+                {v: tuple(e for e in self._pred[v]
+                          if (e.source, v) not in gone) for _, v in gone})
+        # a shallow copy, several times cheaper than copy.copy
+        view = object.__new__(RoadGraph)
+        view.__dict__.update(self.__dict__)
+        view.removed, view._cut_succ, view._cut_pred = cut
         return view
 
 
@@ -117,28 +130,6 @@ class PathRequirement:
 
 
 @dataclass(frozen=True)
-class VehicleProblem:
-    vehicle: str
-    od: tuple[int, int] | None
-    graph: RoadGraph
-    requirement: PathRequirement | None = None
-
-
-@dataclass(frozen=True)
-class SolverInstance:
-    vehicles: tuple[VehicleProblem, ...] = field(default_factory=tuple)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "vehicles", tuple(self.vehicles))
-        seen = set()
-        for vp in self.vehicles:
-            if vp.vehicle in seen:
-                raise SolveError("bind_conflict",
-                                 f"vehicle {vp.vehicle} appears twice")
-            seen.add(vp.vehicle)
-
-
-@dataclass(frozen=True)
 class Constraints:
     """Which links each vehicle loses and which route it must follow.
 
@@ -150,24 +141,6 @@ class Constraints:
     removed_for: Mapping[str, Iterable[tuple[int, int]]] = field(
         default_factory=dict)
     required: Mapping[str, PathRequirement] = field(default_factory=dict)
-
-    def problem(self, common: RoadGraph, vehicle: str,
-                od: tuple[int, int] | None) -> VehicleProblem:
-        """Vehicle's problem on `common` (the network minus `removed`),
-        or on a view of it when the vehicle has links of its own removed."""
-        banned = self.removed_for.get(vehicle)
-        return VehicleProblem(
-            vehicle=vehicle, od=od,
-            graph=common if banned is None else common.without(banned),
-            requirement=self.required.get(vehicle))
-
-    def instance(self, env: TerminalEnv) -> SolverInstance:
-        """Every vehicle of the fleet, in fleet order, on one shared graph."""
-        common = RoadGraph(env.network).without(self.removed)
-        ods = {t.agv: (t.origin, t.destination) for t in env.fleet.tasks}
-        return SolverInstance(vehicles=tuple(
-            self.problem(common, a.id, ods.get(a.id))
-            for a in env.fleet.agvs))
 
 
 @dataclass(frozen=True)
@@ -280,14 +253,16 @@ def _edge_cost(graph: RoadGraph, path: tuple[int, ...]) -> float:
     return total
 
 
-def _solve_vehicle(vp: VehicleProblem,
-                   deadline: float) -> tuple[float, tuple[int, ...]]:
-    if vp.od is None:
+def solve_route(graph: RoadGraph, od: tuple[int, int] | None,
+                req: PathRequirement | None,
+                deadline: float) -> tuple[float, tuple[int, ...]]:
+    """One vehicle's cheapest route on `graph` meeting `req`; a vehicle
+    without a trip (`od` None) costs 0 on the empty path."""
+    if od is None:
         return 0.0, ()
-    source, target = vp.od
-    req = vp.requirement
+    source, target = od
     if req is None:
-        return shortest_path(vp.graph, source, target, deadline)
+        return shortest_path(graph, source, target, deadline)
     if req.kind == "exact":
         path = req.nodes
         if path[0] != source or path[-1] != target:
@@ -299,11 +274,11 @@ def _solve_vehicle(vp: VehicleProblem,
         if dup is not None:
             raise SolveError("degenerate_edge_reuse",
                              f"exact path reuses edge {dup}")
-        return _edge_cost(vp.graph, path), path
+        return _edge_cost(graph, path), path
     # subpath: shortest head and tail around the forced segment
-    forced_cost = _edge_cost(vp.graph, req.nodes)
-    head_cost, head = shortest_path(vp.graph, source, req.nodes[0], deadline)
-    tail_cost, tail = shortest_path(vp.graph, req.nodes[-1], target, deadline)
+    forced_cost = _edge_cost(graph, req.nodes)
+    head_cost, head = shortest_path(graph, source, req.nodes[0], deadline)
+    tail_cost, tail = shortest_path(graph, req.nodes[-1], target, deadline)
     full = head + req.nodes[1:] + tail[1:]
     dup = _duplicate_edge(full)
     if dup is not None:
@@ -312,35 +287,41 @@ def _solve_vehicle(vp: VehicleProblem,
     return head_cost + forced_cost + tail_cost, full
 
 
-def solve(instance: SolverInstance,
+def solve(constraints: Constraints, network: Network, trips: Trips,
           time_limit: float = DEFAULT_TIME_LIMIT) -> Solution:
-    """Solve every vehicle problem; Z is the sum of per-vehicle costs.
+    """Route every vehicle of `trips` (vehicle -> OD pair or None, in the
+    solution's order) under `constraints`; Z is the sum of their costs.
 
     The time limit holds between vehicles and inside each search.
     """
     check_time_limit(time_limit)
     deadline = _now() + time_limit
+    common = RoadGraph(network).without(constraints.removed)
+    removed_for, required = constraints.removed_for, constraints.required
     paths: dict[str, tuple[int, ...]] = {}
     costs: dict[str, float] = {}
     total = 0.0
-    for vp in instance.vehicles:
+    for vehicle, od in trips.items():
         if _now() > deadline:
             raise SolveError("timeout",
                              f"time limit of {time_limit}s exceeded")
+        banned = removed_for.get(vehicle)
+        graph = common if banned is None else common.without(banned)
         try:
-            cost, path = _solve_vehicle(vp, deadline)
+            cost, path = solve_route(graph, od, required.get(vehicle),
+                                     deadline)
         except SolveError as exc:
             raise SolveError(exc.kind,
-                             f"vehicle {vp.vehicle}: {exc.detail}") from exc
-        paths[vp.vehicle] = path
-        costs[vp.vehicle] = cost
+                             f"vehicle {vehicle}: {exc.detail}") from exc
+        paths[vehicle] = path
+        costs[vehicle] = cost
         total += cost
     return Solution(paths=paths, costs=costs, objective=total)
 
 
 def _resolve_subject(subject: dsl.SubjectRef, env: TerminalEnv) -> str:
     if subject.kind == "vehicle":
-        if subject.ident not in {a.id for a in env.fleet.agvs}:
+        if subject.ident not in env.fleet.trips:
             raise SolveError("bind_unknown_vehicle",
                              f"unknown vehicle {subject.ident}")
         return subject.ident
@@ -358,18 +339,18 @@ def _check_nodes(nodes: Iterable[int], known: frozenset[int]) -> None:
                              f"statement references unknown node {node}")
 
 
-def bind(ast: dsl.ModelAst, env: TerminalEnv) -> SolverInstance:
+def bind(ast: dsl.ModelAst, env: TerminalEnv) -> Constraints:
     """Ground a checked program against an environment.
 
     Assumes static_check(ast) passed.  Statements apply in program order
-    to one `Constraints` record, which covers every vehicle exactly once.
-    A path requirement on a vehicle without a task is a bind_conflict.
+    to one `Constraints` record, returned for `solve`.  A path
+    requirement on a vehicle without a task is a bind_conflict.
     """
     known = env.network.node_ids()
     removed: set[tuple[int, int]] = set()
     removed_for: dict[str, set[tuple[int, int]]] = {}
     required: dict[str, PathRequirement] = {}
-    ods = {t.agv: (t.origin, t.destination) for t in env.fleet.tasks}
+    trips = env.fleet.trips
     for stmt in ast.statements:
         if isinstance(stmt, dsl.FlowBalanceAll):
             continue
@@ -389,7 +370,7 @@ def bind(ast: dsl.ModelAst, env: TerminalEnv) -> SolverInstance:
                     "bind_conflict",
                     f"multiple path requirements bound to vehicle {vehicle}")
             kind = "exact" if isinstance(stmt, dsl.RequireExactPath) else "subpath"
-            od = ods.get(vehicle)
+            od = trips[vehicle]
             if od is None:
                 raise SolveError(
                     "bind_conflict",
@@ -402,7 +383,7 @@ def bind(ast: dsl.ModelAst, env: TerminalEnv) -> SolverInstance:
                     f"exact path endpoints ({first}, {last}) "
                     f"do not match OD pair {od} of vehicle {vehicle}")
             required[vehicle] = PathRequirement(kind, stmt.nodes)
-    return Constraints(removed, removed_for, required).instance(env)
+    return Constraints(removed, removed_for, required)
 
 
 def scenario_constraints(spec: ScenarioSpec,
@@ -432,4 +413,4 @@ def oracle_solve(env: TerminalEnv, spec: ScenarioSpec | None,
         spec.validate_against(env)
         constraints = scenario_constraints(
             spec, {t.id: t.agv for t in env.fleet.tasks})
-    return solve(constraints.instance(env), time_limit)
+    return solve(constraints, env.network, env.fleet.trips, time_limit)

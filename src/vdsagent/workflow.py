@@ -123,9 +123,10 @@ def _attempt_pipeline(coder_output: str, env: TerminalEnv,
             record.error = "; ".join(str(p) for p in problems)
             return None
         record.stage_reached = "bind"
-        instance = solver.bind(ast, env)
+        constraints = solver.bind(ast, env)
         record.stage_reached = "solve"
-        solution = solver.solve(instance, config.solve_time_limit)
+        solution = solver.solve(constraints, env.network, env.fleet.trips,
+                                config.solve_time_limit)
     except (dsl.ExtractionError, dsl.DslError, solver.SolveError) as exc:
         record.error = str(exc)
         return None

@@ -71,11 +71,11 @@ def test_criterion_1_solver_exactness():
                 requirement = solver.PathRequirement("exact", nodes)
                 cost = helpers.path_cost(edges, nodes)
                 brute = None if cost is None else (cost, nodes)
-        graph = solver.RoadGraph(helpers.network_from(edges, range(n)))
-        problem = solver.VehicleProblem(vehicle="V", od=(s, t), graph=graph,
-                                        requirement=requirement)
+        network = helpers.network_from(edges, range(n))
+        required = {} if requirement is None else {"V": requirement}
         try:
-            sol = solver.solve(solver.SolverInstance(vehicles=(problem,)))
+            sol = solver.solve(solver.Constraints(required=required), network,
+                               {"V": (s, t)})
         except solver.SolveError as exc:
             if exc.kind == "degenerate_edge_reuse":
                 skipped_degenerate += 1

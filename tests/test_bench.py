@@ -369,7 +369,8 @@ class TestAccumulation:
         count = 0
         for env, spec in generate_instances(42, "road_closure", n):
             full = solver.oracle_solve(env, spec).objective
-            one_way = solver.solve(solver.bind(ast, env)).objective
+            one_way = solver.solve(solver.bind(ast, env), env.network,
+                                   env.fleet.trips).objective
             if abs(full - one_way) > 1e-9:
                 count += 1
         return count

@@ -100,6 +100,18 @@ class TestFleet:
         assert fleet.task_by_id("T1").agv == "A"
         assert fleet.task_by_id("T9") is None
 
+    def test_trips_in_fleet_order(self):
+        # tasks listed in another order than their vehicles; B has none
+        fleet = FleetConfig(agvs=(Agv("C"), Agv("B"), Agv("A")),
+                            tasks=(Task("T1", "A", 0, 1),
+                                   Task("T2", "C", 2, 0)))
+        assert list(fleet.trips.items()) == \
+            [("C", (2, 0)), ("B", None), ("A", (0, 1))]
+        assert fleet.trips is fleet.trips  # built once per fleet
+        twin = FleetConfig(agvs=fleet.agvs, tasks=fleet.tasks)
+        assert twin.trips == fleet.trips and twin.trips is not fleet.trips
+        assert FleetConfig(agvs=(), tasks=()).trips == {}
+
 
 class TestRequirements:
     def test_level_validated(self):

@@ -1,12 +1,14 @@
+import gc
 import math
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
 
 from helpers import (grid_edges, min_simple_path, min_walk, network_from,
                      path_cost, path_heap_dijkstra)
-from vdsagent import bench, dsl
+from vdsagent import bench, dsl, instances
 from vdsagent import injection as inj
 from vdsagent import solver as sv
 from vdsagent.env import (SCENARIO_KINDS, Agv, FleetConfig, Network, Node, Edge,
@@ -49,9 +51,14 @@ def graph_of(edges, nodes):
 
 
 @pytest.fixture
-def grid_graph(grid_lengths):
-    """The default grid, built from `grid_lengths`, with a fresh memo."""
-    return graph_of(grid_lengths, range(20))
+def grid_net(grid_lengths):
+    """The default grid, built from `grid_lengths`, with fresh memos."""
+    return network_from(grid_lengths, range(20))
+
+
+@pytest.fixture
+def grid_graph(grid_net):
+    return sv.RoadGraph(grid_net)
 
 
 class TestShortestPath:
@@ -217,8 +224,6 @@ class TestRouteMemo:
 
     def test_timed_out_search_is_not_stored(self, monkeypatch):
         network = network_from(grid_edges(40), range(40 * 40))
-        problem = sv.VehicleProblem("v", (0, 40 * 40 - 1),
-                                    sv.RoadGraph(network))
         reads = []
 
         def clock():
@@ -227,12 +232,12 @@ class TestRouteMemo:
 
         monkeypatch.setattr(sv, "_now", clock)
         with pytest.raises(sv.SolveError) as exc:
-            single(problem)
+            single(network, (0, 40 * 40 - 1))
         assert exc.value.kind == "timeout"
         assert network.routes == {}
         monkeypatch.setattr(sv, "_now", lambda: 0.0)
         expected = path_heap_dijkstra(grid_edges(40), 0, 40 * 40 - 1)
-        assert single(problem) == expected
+        assert single(network, (0, 40 * 40 - 1)) == expected
         assert list(network.routes.values()) == [expected]
 
     def test_infeasible_search_is_not_stored(self, searches):
@@ -290,21 +295,29 @@ class TestSharedIndex:
                    for links in pred.values())
 
     def test_golden_suite_indexes_each_network_once(self, monkeypatch):
-        # 3 instance generations, 15 oracle solves and 45 binds
-        networks, indexes = [], []
-        init = sv.RoadGraph.__init__
+        # every solve (generation draws, 15 oracle solves, 45 transfers)
+        # takes one graph of one of the 3 generated networks
+        networks, indexes, solves = [], [], []
+        init, solve = sv.RoadGraph.__init__, sv.solve
 
         def recorded(graph, network):
             init(graph, network)
             networks.append(network)
             indexes.append(graph._succ)
 
+        def counted(*args):
+            solves.append(args[1])
+            return solve(*args)
+
         monkeypatch.setattr(sv.RoadGraph, "__init__", recorded)
+        monkeypatch.setattr(sv, "solve", counted)
+        monkeypatch.setattr(instances, "solve", counted)
         report = bench.run_benchmark(
             bench.SuiteConfig(seed=3), load_seed_kb(),
             bench.scripted_provider(inj.golden_script()))
         assert report["aggregates"]["overall"]["ssr"] == 1.0
-        assert len(indexes) == 63
+        assert list(map(id, networks)) == list(map(id, solves))
+        assert len(solves) > 60
         assert len({id(network) for network in networks}) == 3
         assert len({id(index) for index in indexes}) == 3
 
@@ -346,9 +359,132 @@ class TestSharedIndex:
                                                 target) == route
 
 
-def single(problem):
-    solution = sv.solve(sv.SolverInstance(vehicles=(problem,)))
-    return solution.costs[problem.vehicle], solution.paths[problem.vehicle]
+def cut_links(network, removed):
+    """Per node a removed link touches, its out- and in-links that stay,
+    by target and by source, read from `network.lengths()`."""
+    kept = {e: w for e, w in network.lengths().items() if e not in removed}
+    return ({u: sorted(v for (a, v) in kept if a == u) for u, _ in removed},
+            {v: sorted(u for (u, b) in kept if b == v) for _, v in removed})
+
+
+class TestCutMemo:
+    def test_equal_removed_sets_share_one_filtered_table(self):
+        network = default_network()
+        view = sv.RoadGraph(network).without({(6, 7)})
+        again = sv.RoadGraph(network).without([(6, 7), (6, 7), (0, 99)])
+        assert again.removed == {(6, 7)}
+        # one set object per removed set keeps route-memo keys identical
+        for part in ("removed", "_cut_succ", "_cut_pred"):
+            assert getattr(again, part) is getattr(view, part)
+        both = view.without({(7, 6)})
+        other = sv.RoadGraph(network).without({(7, 6), (6, 7)})
+        assert other.removed is both.removed
+        assert other._cut_succ is both._cut_succ
+        assert both.without({(6, 7)}) is both and view.without(()) is view
+        sv.shortest_path(view, 6, 7)
+        assert sv.shortest_path(again, 6, 7) is \
+            network.routes[(view.removed, 6, 7)]
+        assert network.cuts == {
+            view.removed: (view.removed, view._cut_succ, view._cut_pred),
+            both.removed: (both.removed, both._cut_succ, both._cut_pred)}
+        for removed, (_, succ, pred) in network.cuts.items():
+            assert ({u: [e.target for e in links] for u, links in succ.items()},
+                    {v: [e.source for e in links] for v, links in pred.items()}
+                    ) == cut_links(network, removed)
+        # an equal network keeps a memo of its own
+        twin = default_network()
+        assert sv.RoadGraph(twin).without({(6, 7)})._cut_succ \
+            is not view._cut_succ
+        assert twin.cuts.keys() == {frozenset({(6, 7)})}
+
+    def test_repeated_transfers_filter_two_removed_sets(self):
+        # a 10x10 yard, 30 vehicles, a two-way closure and one ban
+        rng = random.Random(8)
+        side = 10
+        lengths = grid_edges(side)
+        network = network_from(lengths, range(side * side))
+        trips = [tuple(rng.sample(range(side * side), 2)) for _ in range(30)]
+        env = env_for(network, [(f"AGV-{k}", f"T{k}", o, d)
+                                for k, (o, d) in enumerate(trips)])
+        program = PROGRAM.format(body='  remove_edge (44, 45)\n'
+                                      '  remove_edge (45, 44)\n'
+                                      '  forbid_edge vehicle "AGV-7" (3, 4)')
+        ast = dsl.parse(program)
+        closure = frozenset({(44, 45), (45, 44)})
+        expected = sum(
+            path_heap_dijkstra(
+                {e: w for e, w in lengths.items()
+                 if e not in closure and (k != 7 or e != (3, 4))}, o, d)[0]
+            for k, (o, d) in enumerate(trips))
+        for _ in range(100):
+            solution = solved(sv.bind(ast, env), env)
+            assert solution.objective == expected
+        assert network.cuts.keys() == {closure, closure | {(3, 4)}}
+        assert len(network.routes) == 30
+
+    def test_golden_suite_filters_each_removed_set_once(self, monkeypatch):
+        networks, filtered = [], []
+        generate, without = bench.generate_instances, sv.RoadGraph.without
+
+        def recorded(*args):
+            generated = generate(*args)
+            networks.append(generated[0][0].network)
+            return generated
+
+        def counted(graph, edges):
+            fresh = len(graph._cuts)
+            view = without(graph, edges)
+            if len(graph._cuts) > fresh:
+                filtered.append(view.removed)
+            return view
+
+        monkeypatch.setattr(bench, "generate_instances", recorded)
+        monkeypatch.setattr(sv.RoadGraph, "without", counted)
+        report = bench.run_benchmark(
+            bench.SuiteConfig(seed=3), load_seed_kb(),
+            bench.scripted_provider(inj.golden_script()))
+        assert report["aggregates"]["overall"]["ssr"] == 1.0
+        closure = frozenset({(6, 7), (7, 6)})
+        ban = frozenset({(5, 6), (6, 5)})
+        assert filtered == [closure, ban]
+        assert [set(network.cuts) for network in networks] == \
+            [{closure}, {ban}, set()]
+        for network in networks:
+            assert {key[0] for key in network.routes} <= \
+                {frozenset(), *network.cuts}
+        # the routes searched before the filtered tables were memoized
+        assert [len(network.routes) for network in networks] == \
+            [130, 122, 126]
+
+    def test_dead_network_leaves_no_graph_behind(self):
+        # with the collector off, only reference counts free memory: a
+        # memo that held views would keep them, and the routes they
+        # reach, alive in a cycle
+        def graphs():
+            return sum(isinstance(o, sv.RoadGraph) for o in gc.get_objects())
+
+        gc.collect()
+        gc.disable()
+        try:
+            before = graphs()
+            env = grid_env([("A", "T1", 0, 19), ("B", "T2", 5, 7)])
+            constraints = sv.Constraints(removed={(6, 7)},
+                                         removed_for={"B": {(5, 6)}})
+            solved(constraints, env)
+            network = weakref.ref(env.network)
+            del env, constraints
+            assert network() is None
+            assert graphs() == before
+        finally:
+            gc.enable()
+
+
+def single(network, od, requirement=None, vehicle="v"):
+    """One vehicle routed by `solve` on `network`: its (cost, path)."""
+    required = {} if requirement is None else {vehicle: requirement}
+    solution = sv.solve(sv.Constraints(required=required), network,
+                        {vehicle: od})
+    return solution.costs[vehicle], solution.paths[vehicle]
 
 
 class TestSolve:
@@ -357,24 +493,31 @@ class TestSolve:
                  if e not in {(6, 7), (7, 6)}}
         # positive weights: min over edge-simple walks = min over simple paths
         assert min_simple_path(edges, 6, 7) == (Fraction(30), (6, 1, 2, 7))
-        cost, path = single(sv.VehicleProblem("v", (6, 7),
-                                              graph_of(edges, range(20))))
+        cost, path = single(network_from(edges, range(20)), (6, 7))
         assert (cost, path) == (30.0, (6, 1, 2, 7))
+
+    def test_closure_through_the_record(self, grid_lengths, grid_net):
+        closed = {(6, 7), (7, 6)}
+        edges = {e: w for e, w in grid_lengths.items() if e not in closed}
+        trips = {"a": (6, 7), "b": (7, 6), "c": (0, 4)}
+        solution = sv.solve(sv.Constraints(removed=closed), grid_net, trips)
+        for vehicle, (source, target) in trips.items():
+            cost, path = min_simple_path(edges, source, target)
+            assert (solution.costs[vehicle], solution.paths[vehicle]) == \
+                (cost, path)
 
     def test_four_cycle_subpath_revisits_node(self):
         # forced (3, 0) from 0 to 2: out-and-back then around
         edges = four_cycle_edges()
         assert min_walk(edges, 0, 2, forced=(3, 0)) == \
             (Fraction(4), (0, 3, 0, 1, 2))
-        cost, path = single(sv.VehicleProblem(
-            "v", (0, 2), graph_of(edges, range(4)),
-            sv.PathRequirement("subpath", (3, 0))))
+        cost, path = single(network_from(edges, range(4)), (0, 2),
+                            sv.PathRequirement("subpath", (3, 0)))
         assert (cost, path) == (4.0, (0, 3, 0, 1, 2))
 
-    def test_subpath_concatenation_cost(self, grid_graph):
-        cost, path = single(sv.VehicleProblem(
-            "v", (0, 14), grid_graph,
-            sv.PathRequirement("subpath", (6, 10, 11))))
+    def test_subpath_concatenation_cost(self, grid_net):
+        cost, path = single(grid_net, (0, 14),
+                            sv.PathRequirement("subpath", (6, 10, 11)))
         assert cost == 74.0
         assert path[0] == 0 and path[-1] == 14
         assert any(path[i:i + 3] == (6, 10, 11) for i in range(len(path) - 2))
@@ -383,8 +526,8 @@ class TestSolve:
         edges = triangle_edges()
         del edges[(0, 2)]
         with pytest.raises(sv.SolveError) as exc:
-            single(sv.VehicleProblem("v", (0, 2), graph_of(edges, range(3)),
-                                     sv.PathRequirement("subpath", (0, 2))))
+            single(network_from(edges, range(3)), (0, 2),
+                   sv.PathRequirement("subpath", (0, 2)))
         assert exc.value.kind == "infeasible"
 
     def test_subpath_reuse_rejected(self):
@@ -392,78 +535,83 @@ class TestSolve:
         # must re-drive (1, 2), which binary edge variables cannot express
         edges = {(0, 1): 1, (1, 0): 1, (1, 2): 1, (2, 1): 1}
         with pytest.raises(sv.SolveError) as exc:
-            single(sv.VehicleProblem("v", (0, 2), graph_of(edges, range(3)),
-                                     sv.PathRequirement("subpath", (2, 1))))
+            single(network_from(edges, range(3)), (0, 2),
+                   sv.PathRequirement("subpath", (2, 1)))
         assert exc.value.kind == "degenerate_edge_reuse"
 
-    def test_exact_path_cost_and_validation(self, grid_lengths, grid_graph):
-        cost, path = single(sv.VehicleProblem(
-            "v", (0, 2), grid_graph,
-            sv.PathRequirement("exact", (0, 5, 6, 7, 2))))
+    def test_exact_path_cost_and_validation(self, grid_lengths, grid_net):
+        cost, path = single(grid_net, (0, 2),
+                            sv.PathRequirement("exact", (0, 5, 6, 7, 2)))
         assert Fraction(cost) == path_cost(grid_lengths, (0, 5, 6, 7, 2))
         assert path == (0, 5, 6, 7, 2)
 
     def test_exact_path_endpoint_mismatch(self, grid_graph):
         with pytest.raises(sv.SolveError) as exc:
-            single(sv.VehicleProblem("v", (0, 2), grid_graph,
-                                     sv.PathRequirement("exact", (0, 1))))
+            sv.solve_route(grid_graph, (0, 2),
+                           sv.PathRequirement("exact", (0, 1)), math.inf)
         assert exc.value.kind == "bind_conflict"
 
-    def test_exact_path_missing_edge(self, grid_graph):
+    def test_exact_path_missing_edge(self, grid_net):
         with pytest.raises(sv.SolveError) as exc:
-            single(sv.VehicleProblem("v", (0, 2), grid_graph,
-                                     sv.PathRequirement("exact", (0, 2))))
+            single(grid_net, (0, 2), sv.PathRequirement("exact", (0, 2)))
         assert exc.value.kind == "infeasible"
 
     def test_exact_path_edge_reuse(self):
-        graph = graph_of({(0, 1): 1, (1, 0): 1}, range(2))
+        network = network_from({(0, 1): 1, (1, 0): 1}, range(2))
         with pytest.raises(sv.SolveError) as exc:
-            single(sv.VehicleProblem("v", (0, 1), graph,
-                                     sv.PathRequirement(
-                                         "exact", (0, 1, 0, 1))))
+            single(network, (0, 1), sv.PathRequirement("exact", (0, 1, 0, 1)))
         assert exc.value.kind == "degenerate_edge_reuse"
 
     def test_error_names_vehicle(self):
         with pytest.raises(sv.SolveError) as exc:
-            single(sv.VehicleProblem("AGV-17", (0, 1),
-                                     graph_of({(1, 0): 1}, range(2))))
-        assert "AGV-17" in exc.value.detail
+            single(network_from({(1, 0): 1}, range(2)), (0, 1),
+                   vehicle="AGV-17")
+        assert exc.value.kind == "infeasible"
+        assert exc.value.detail == "vehicle AGV-17: no path from 0 to 1"
 
     def test_idle_vehicle_costs_nothing(self):
-        graph = graph_of(triangle_edges(), range(3))
-        solution = sv.solve(sv.SolverInstance(vehicles=(
-            sv.VehicleProblem("idle", None, graph),
-            sv.VehicleProblem("busy", (0, 2), graph),
-        )))
+        network = network_from(triangle_edges(), range(3))
+        solution = sv.solve(sv.Constraints(), network,
+                            {"idle": None, "busy": (0, 2)})
         assert solution.costs == {"idle": 0.0, "busy": 2.0}
         assert solution.paths["idle"] == ()
         assert solution.objective == 2.0
+        assert sv.solve_route(sv.RoadGraph(network), None, None,
+                              math.inf) == (0.0, ())
 
-    def test_objective_sums_vehicles(self, grid_graph):
-        problems = tuple(
-            sv.VehicleProblem(f"v{i}", (i, i + 5), grid_graph)
-            for i in range(5))
-        solution = sv.solve(sv.SolverInstance(vehicles=problems))
+    def test_objective_sums_vehicles(self, grid_lengths, grid_net):
+        trips = {f"v{i}": (i, i + 5) for i in range(5)}
+        solution = sv.solve(sv.Constraints(), grid_net, trips)
         assert solution.objective == sum(solution.costs.values())
+        assert solution.objective == sum(
+            min_simple_path(grid_lengths, *od)[0] for od in trips.values())
         assert solution.objective == 50.0
 
-    def test_duplicate_vehicle_rejected(self):
-        graph = graph_of(triangle_edges(), range(3))
-        with pytest.raises(sv.SolveError) as exc:
-            sv.SolverInstance(vehicles=(
-                sv.VehicleProblem("v", (0, 1), graph),
-                sv.VehicleProblem("v", (0, 2), graph),
-            ))
-        assert exc.value.kind == "bind_conflict"
-
-    def test_timeout(self, monkeypatch, grid_graph):
+    def test_timeout(self, monkeypatch, grid_net):
         clock = iter([0.0, 1000.0])
         monkeypatch.setattr(sv, "_now", lambda: next(clock))
         with pytest.raises(sv.SolveError) as exc:
-            sv.solve(sv.SolverInstance(vehicles=(
-                sv.VehicleProblem("v", (0, 4), grid_graph),)),
-                time_limit=300.0)
+            sv.solve(sv.Constraints(), grid_net, {"v": (0, 4)},
+                     time_limit=300.0)
         assert exc.value.kind == "timeout"
+
+    def test_timeout_between_vehicles(self, monkeypatch, grid_net):
+        # reads: the deadline, before "a" (on time), before "b" (late);
+        # a's search on 20 nodes pops too few nodes to read the clock
+        reads = []
+
+        def clock():
+            reads.append(None)
+            return 0.0 if len(reads) <= 2 else 1000.0
+
+        monkeypatch.setattr(sv, "_now", clock)
+        with pytest.raises(sv.SolveError) as exc:
+            sv.solve(sv.Constraints(), grid_net,
+                     {"a": (0, 19), "b": (19, 0)}, time_limit=300.0)
+        assert exc.value.kind == "timeout"
+        assert exc.value.detail == "time limit of 300.0s exceeded"
+        assert len(reads) == 3
+        assert list(grid_net.routes) == [(frozenset(), 0, 19)]
 
     def test_timeout_inside_one_search(self, monkeypatch):
         # the clock jumps after solve's own two reads, so only a check
@@ -476,21 +624,22 @@ class TestSolve:
 
         monkeypatch.setattr(sv, "_now", clock)
         with pytest.raises(sv.SolveError) as exc:
-            single(sv.VehicleProblem("v", (0, 40 * 40 - 1),
-                                     graph_of(grid_edges(40), range(40 * 40))))
+            single(network_from(grid_edges(40), range(40 * 40)),
+                   (0, 40 * 40 - 1))
         assert exc.value.kind == "timeout"
+        assert exc.value.detail == "vehicle v: deadline passed during search"
         assert len(reads) == 3
 
     @pytest.mark.parametrize("limit", (0.0, -1.0, math.nan))
-    def test_bad_time_limit_rejected(self, grid_graph, limit):
-        problem = sv.VehicleProblem("v", (0, 4), grid_graph)
+    def test_bad_time_limit_rejected(self, grid_net, limit):
         with pytest.raises(ConfigError):
-            sv.solve(sv.SolverInstance(vehicles=(problem,)), limit)
+            sv.solve(sv.Constraints(), grid_net, {"v": (0, 4)}, limit)
+        assert grid_net.routes == {}
 
-    def test_infinite_time_limit_means_none(self, grid_graph):
-        problem = sv.VehicleProblem("v", (0, 4), grid_graph)
-        assert sv.solve(sv.SolverInstance(vehicles=(problem,)), math.inf) == \
-            sv.solve(sv.SolverInstance(vehicles=(problem,)))
+    def test_infinite_time_limit_means_none(self, grid_net):
+        trips = {"v": (0, 4)}
+        assert sv.solve(sv.Constraints(), grid_net, trips, math.inf) == \
+            sv.solve(sv.Constraints(), grid_net, trips)
 
     def test_subpath_relaxation_property(self, grid_lengths, grid_graph):
         rng = random.Random(3)
@@ -498,12 +647,12 @@ class TestSolve:
         for _ in range(40):
             source, target = rng.sample(nodes, 2)
             u, v = rng.choice(list(grid_lengths))
-            free_cost, _ = single(sv.VehicleProblem("v", (source, target),
-                                                    grid_graph))
+            free_cost, _ = sv.solve_route(grid_graph, (source, target),
+                                          None, math.inf)
             try:
-                forced_cost, _ = single(sv.VehicleProblem(
-                    "v", (source, target), grid_graph,
-                    sv.PathRequirement("subpath", (u, v))))
+                forced_cost, _ = sv.solve_route(
+                    grid_graph, (source, target),
+                    sv.PathRequirement("subpath", (u, v)), math.inf)
             except sv.SolveError:
                 continue
             assert forced_cost >= free_cost
@@ -523,38 +672,57 @@ def bound(body, env):
     return sv.bind(dsl.parse(PROGRAM.format(body=body)), env)
 
 
-class TestBind:
-    def test_remove_edge_is_global_and_directional(self):
-        env = grid_env([("A", "T1", 6, 7), ("B", "T2", 7, 6)])
-        instance = bound("  remove_edge (6, 7)", env)
-        for vp in instance.vehicles:
-            assert vp.graph.length(6, 7) is None
-            assert vp.graph.length(7, 6) == 10
+def solved(constraints, env):
+    return sv.solve(constraints, env.network, env.fleet.trips)
 
-    def test_forbid_edge_scopes_to_vehicle(self):
+
+class TestBind:
+    def test_remove_edge_is_global_and_directional(self, grid_lengths):
+        env = grid_env([("A", "T1", 6, 7), ("B", "T2", 7, 6)])
+        constraints = bound("  remove_edge (6, 7)", env)
+        assert (constraints.removed, constraints.removed_for) == \
+            ({(6, 7)}, {})
+        edges = {e: w for e, w in grid_lengths.items() if e != (6, 7)}
+        solution = solved(constraints, env)
+        assert (solution.costs["A"], solution.paths["A"]) == \
+            min_simple_path(edges, 6, 7) == (30, (6, 1, 2, 7))
+        assert (solution.costs["B"], solution.paths["B"]) == (10.0, (7, 6))
+
+    def test_forbid_edge_scopes_to_vehicle(self, grid_lengths):
         env = grid_env([("A", "T1", 5, 6), ("B", "T2", 5, 6)])
-        instance = bound('  forbid_edge vehicle "A" (5, 6)', env)
-        by_id = {vp.vehicle: vp for vp in instance.vehicles}
-        assert by_id["A"].graph.length(5, 6) is None
-        assert by_id["B"].graph.length(5, 6) == 10
+        constraints = bound('  forbid_edge vehicle "A" (5, 6)', env)
+        assert (constraints.removed, constraints.removed_for) == \
+            (set(), {"A": {(5, 6)}})
+        edges = {e: w for e, w in grid_lengths.items() if e != (5, 6)}
+        solution = solved(constraints, env)
+        assert (solution.costs["A"], solution.paths["A"]) == \
+            min_simple_path(edges, 5, 6)
+        assert (solution.costs["B"], solution.paths["B"]) == (10.0, (5, 6))
 
     def test_forbid_edge_task_subject_resolves_to_agv(self):
         env = grid_env([("A", "T1", 5, 6), ("B", "T2", 5, 6)])
-        instance = bound('  forbid_edge task "T2" (5, 6)', env)
-        by_id = {vp.vehicle: vp for vp in instance.vehicles}
-        assert by_id["A"].graph.length(5, 6) == 10
-        assert by_id["B"].graph.length(5, 6) is None
+        constraints = bound('  forbid_edge task "T2" (5, 6)', env)
+        assert constraints.removed_for == {"B": {(5, 6)}}
+        solution = solved(constraints, env)
+        assert solution.paths["A"] == (5, 6)
+        assert (5, 6) not in zip(solution.paths["B"], solution.paths["B"][1:])
 
     def test_requirement_attached(self):
         env = grid_env([("A", "T1", 0, 14)])
-        instance = bound('  require_subpath task "T1" [6, 10, 11]', env)
-        req = instance.vehicles[0].requirement
-        assert req == sv.PathRequirement("subpath", (6, 10, 11))
+        constraints = bound('  require_subpath task "T1" [6, 10, 11]', env)
+        assert constraints.required == {
+            "A": sv.PathRequirement("subpath", (6, 10, 11))}
 
     def test_unknown_vehicle(self):
         env = grid_env([("A", "T1", 0, 1)])
         with pytest.raises(sv.SolveError) as exc:
             bound('  forbid_edge vehicle "ghost" (0, 1)', env)
+        assert exc.value.kind == "bind_unknown_vehicle"
+
+    def test_task_id_is_no_vehicle(self):
+        env = grid_env([("A", "T1", 0, 1)])
+        with pytest.raises(sv.SolveError) as exc:
+            bound('  forbid_edge vehicle "T1" (0, 1)', env)
         assert exc.value.kind == "bind_unknown_vehicle"
 
     def test_unknown_task(self):
@@ -608,12 +776,27 @@ class TestBind:
             bound('  require_subpath vehicle "A" [0, 1]', env)
         assert exc.value.kind == "bind_conflict"
 
+    def test_solution_keeps_fleet_order(self):
+        env = env_for(default_network(), [("Z", "T1", 0, 4), ("A", "T2", 9, 5),
+                                          ("M", "T3", 6, 7)])
+        env = TerminalEnv(
+            network=env.network,
+            fleet=FleetConfig(agvs=(Agv("Z"), Agv("idle"), Agv("A"),
+                                    Agv("M")),
+                              tasks=env.fleet.tasks[::-1]),
+            requirements=env.requirements)
+        order = ["Z", "idle", "A", "M"]
+        for solution in (solved(bound("  remove_edge (6, 7)", env), env),
+                         sv.oracle_solve(env, None)):
+            assert list(solution.paths) == list(solution.costs) == order
+            assert list(solution.to_dict()["paths"]) == order
+
     def test_bind_then_solve_equals_oracle(self, closure_instance):
         env, spec = closure_instance
         program = ("model m\nobjective minimize total_travel_time\n"
                    "constraints {\n  flow_balance all\n"
                    "  remove_edge (6, 7)\n  remove_edge (7, 6)\n}")
-        bound_solution = sv.solve(sv.bind(dsl.parse(program), env))
+        bound_solution = solved(sv.bind(dsl.parse(program), env), env)
         oracle = sv.oracle_solve(env, spec)
         assert bound_solution.objective == oracle.objective
         assert bound_solution.paths == oracle.paths
@@ -671,9 +854,14 @@ class TestOracleSolve:
             assert solution.objective == sum(solution.costs.values())
 
 
-def summary(vp):
-    """What a vehicle problem holds, its graph as the links it lacks."""
-    return vp.vehicle, vp.od, vp.graph.removed, vp.requirement
+def routed_on(constraints, env):
+    """Per vehicle in fleet order: its OD pair, the links its view lacks
+    and its path requirement, as `solve` would route it."""
+    common = sv.RoadGraph(env.network).without(constraints.removed)
+    return [(vehicle, od,
+             common.without(constraints.removed_for.get(vehicle, ())).removed,
+             constraints.required.get(vehicle))
+            for vehicle, od in env.fleet.trips.items()]
 
 
 class TestConstraints:
@@ -683,9 +871,10 @@ class TestConstraints:
         ast = dsl.parse(CORRECT_PROGRAMS[kind])
         for env, spec in generate_instances(seed, kind, 6):
             tasks = {t.id: t.agv for t in env.fleet.tasks}
-            expected = sv.scenario_constraints(spec, tasks).instance(env)
-            assert list(map(summary, sv.bind(ast, env).vehicles)) == \
-                list(map(summary, expected.vehicles))
+            expected = sv.scenario_constraints(spec, tasks)
+            bound_record = sv.bind(ast, env)
+            assert routed_on(bound_record, env) == routed_on(expected, env)
+            assert solved(bound_record, env) == solved(expected, env)
 
     def test_scenario_closures_cover_both_directions(self):
         closure = sv.scenario_constraints(
@@ -701,7 +890,7 @@ class TestConstraints:
         assert route.required == {
             "B": sv.PathRequirement("subpath", (6, 10, 11))}
 
-    def test_problem_and_instance(self):
+    def test_solve_walks_the_fleet_from_the_record(self, grid_lengths):
         env = grid_env([("A", "T1", 0, 14), ("B", "T2", 5, 7)])
         env = TerminalEnv(
             network=env.network,
@@ -712,39 +901,45 @@ class TestConstraints:
         constraints = sv.Constraints(removed={(6, 7)},
                                      removed_for={"B": {(5, 6)}},
                                      required={"A": requirement})
-        instance = constraints.instance(env)
-        assert [vp.vehicle for vp in instance.vehicles] == ["A", "B", "C"]
-        a, b, c = instance.vehicles
-        assert (a.od, b.od, c.od) == ((0, 14), (5, 7), None)
-        assert a.graph.length(6, 7) is None and a.graph.length(7, 6) == 10
-        assert a.graph.length(5, 6) == 10 and b.graph.length(5, 6) is None
-        assert (a.requirement, b.requirement) == (requirement, None)
-        common = sv.RoadGraph(env.network).without({(6, 7)})
-        assert summary(constraints.problem(common, "B", (5, 7))) == \
-            summary(b) == ("B", (5, 7), {(6, 7), (5, 6)}, None)
+        solution = solved(constraints, env)
+        assert list(solution.paths) == list(solution.costs) == ["A", "B", "C"]
+        closed = {e: w for e, w in grid_lengths.items() if e != (6, 7)}
+        banned = {e: w for e, w in closed.items() if e != (5, 6)}
+        head = min_simple_path(closed, 0, 6)
+        tail = min_simple_path(closed, 11, 14)
+        assert solution.costs["A"] == head[0] + 14 + 10 + tail[0] == 74
+        assert solution.paths["A"] == head[1] + (10,) + tail[1]
+        assert (solution.costs["B"], solution.paths["B"]) == \
+            min_simple_path(banned, 5, 7)
+        assert (solution.costs["C"], solution.paths["C"]) == (0.0, ())
+        assert routed_on(constraints, env) == [
+            ("A", (0, 14), {(6, 7)}, requirement),
+            ("B", (5, 7), {(6, 7), (5, 6)}, None),
+            ("C", None, {(6, 7)}, None)]
 
     def test_unbanned_vehicles_share_the_common_view(self, monkeypatch):
         env = grid_env([(f"V{k}", f"T{k}", k, 19 - k) for k in range(6)])
         constraints = sv.Constraints(removed={(6, 7)},
                                      removed_for={"V2": {(5, 6), (0, 99)}})
-        common = sv.RoadGraph(env.network).without({(6, 7)})
-        views = []
-        without = sv.RoadGraph.without
+        views, graphs = [], {}
+        without, solve_route = sv.RoadGraph.without, sv.solve_route
 
         def recorded(graph, edges):
             views.append(without(graph, edges))
             return views[-1]
 
+        def routed(graph, od, *rest):
+            graphs[od[0]] = graph
+            return solve_route(graph, od, *rest)
+
         monkeypatch.setattr(sv.RoadGraph, "without", recorded)
-        problems = [constraints.problem(common, a.id, None)
-                    for a in env.fleet.agvs]
-        assert len(views) == 1  # the banned vehicle's view only
-        for problem in problems:
-            if problem.vehicle == "V2":
-                assert problem.graph is views[0]
-                assert problem.graph.removed == {(6, 7), (5, 6)}
-                for (u, v), w in env.network.lengths().items():
-                    assert problem.graph.length(u, v) == (
-                        None if (u, v) in {(6, 7), (5, 6)} else w)
-            else:
-                assert problem.graph is common
+        monkeypatch.setattr(sv, "solve_route", routed)
+        solved(constraints, env)
+        assert len(views) == 2  # the common view, then the banned vehicle's
+        common, own = views
+        assert common.removed == {(6, 7)}
+        assert own.removed == {(6, 7), (5, 6)}
+        for (u, v), w in env.network.lengths().items():
+            assert own.length(u, v) == (
+                None if (u, v) in {(6, 7), (5, 6)} else w)
+        assert graphs == {k: own if k == 2 else common for k in range(6)}
