@@ -5,9 +5,13 @@ title); exemplars are one-JSON-file-per-entry so accumulated knowledge
 stays reviewable.  Retrieval is lexical BM25 (k1=1.2, b=0.75) over the
 lowercased, punctuation-split text of description + program.  A query is
 a set of terms, not text (`query_terms`).  A base keeps an inverted index
-(term -> exemplars and occurrences), built on its first retrieval and
+(term -> documents and occurrences), built on its first retrieval and
 extended by appends, so a query reads only the postings of its own terms
-(Zobel & Moffat 2006).
+(Zobel & Moffat 2006).  The index holds each distinct document once, keyed
+by (description, program), with a count of the exemplars that copy it:
+BM25 scores a document from its term counts alone, so every copy gets the
+same score, computed once.  Copies still count in N, document frequency
+and average length, so scores are those of scoring every exemplar.
 
 BM25 statistics (N, document frequency, average length) are computed
 over the matching subset only (documents sharing at least one query
@@ -22,9 +26,10 @@ import math
 import re
 from collections import Counter
 from dataclasses import asdict, dataclass, fields
-from functools import cached_property
+from functools import cached_property, partial
 from pathlib import Path
-from typing import Any, Collection, Iterable, Mapping, Sequence
+from typing import (Any, Callable, Collection, Hashable, Iterable, Mapping,
+                    Sequence)
 
 import yaml
 
@@ -42,10 +47,6 @@ BM25_B = 0.75
 # Exemplar ids name their file, so they must be a plain file stem.
 _EXEMPLAR_ID_RE = re.compile(r"[A-Za-z0-9][A-Za-z0-9._-]*")
 ACCUMULATED_ID_PREFIX = "acc"  # accumulated ids: acc-0001, acc-0002, ...
-
-# term -> (ascending document indexes, occurrences), and document lengths
-Index = tuple[dict[str, tuple[list[int], list[int]]], list[int]]
-
 
 @dataclass(frozen=True)
 class Primitive:
@@ -137,15 +138,17 @@ class KnowledgeBase:
         return KnowledgeBase(self._primitives, self._exemplars, root=None)
 
     def append_exemplar(self, ex: Exemplar) -> None:
+        """Validate, persist (when the base has a root), then publish: a
+        failed write leaves the base as it was."""
         validate_exemplar(ex)
         if ex.id in self._ids:
             raise ValidationError(f"exemplar id {ex.id} already present")
+        if self.root is not None:
+            write_json(self.root / "exemplars" / f"{ex.id}.json", asdict(ex))
         self._exemplars.append(ex)
         self._ids.add(ex.id)
         if self._index is not None:
-            _index_document(self._index, ex.term_counts)
-        if self.root is not None:
-            write_json(self.root / "exemplars" / f"{ex.id}.json", asdict(ex))
+            _index_exemplar(self._index, ex)
 
     def next_exemplar_id(self) -> str:
         n = len(self._exemplars) + 1
@@ -156,11 +159,15 @@ class KnowledgeBase:
     def bm25_scores(self, query_terms: Iterable[str]) -> list[float]:
         """`bm25_scores` of every exemplar, in store order."""
         if self._index is None:
-            index: Index = ({}, [])
+            index = Index()
             for ex in self._exemplars:
-                _index_document(index, ex.term_counts)
+                _index_exemplar(index, ex)
             self._index = index  # published whole: readers see no partial one
-        return _bm25_indexed(query_terms, self._index)
+        return self._index.bm25(query_terms)
+
+
+def _index_exemplar(index: Index, ex: Exemplar) -> None:
+    index.add((ex.description, ex.program), lambda: ex.term_counts)
 
 
 def _parse_front_matter(text: str, where: str) -> tuple[dict[str, Any], str]:
@@ -231,45 +238,80 @@ def bm25_scores(query_terms: list[str], documents: list[list[str]]) -> list[floa
     documents that share at least one query term; zero-overlap documents
     score 0 and cannot influence the others.
     """
-    index: Index = ({}, [])
+    index = Index()
     for doc in documents:
-        _index_document(index, Counter(doc))
-    return _bm25_indexed(query_terms, index)
+        index.add(tuple(doc), partial(Counter, doc))
+    return index.bm25(query_terms)
 
 
-def _index_document(index: Index, counts: Mapping[str, int]) -> None:
-    postings, lengths = index
-    doc = len(lengths)
-    lengths.append(sum(counts.values()))
-    for term, freq in counts.items():
-        entry = postings.get(term)
-        if entry is None:
-            postings[term] = ([doc], [freq])
-        else:
-            entry[0].append(doc)
-            entry[1].append(freq)
+class Index:
+    """Inverted index over distinct documents; `add` takes one copy.
 
+    N, document frequency and average length count every copy, so each
+    document's score is the one the token-list form gives every copy.
+    """
 
-def _bm25_indexed(query_terms: Iterable[str], index: Index) -> list[float]:
-    """`bm25_scores` term-at-a-time in sorted term order, so each score is
-    summed in the order and float expressions of the token-list form."""
-    postings, lengths = index
-    scores = [0.0] * len(lengths)
-    hits = [postings[t] for t in sorted(postings.keys() & query_terms)]
-    if not hits:
-        return scores
-    matching = sorted(set().union(*(docs for docs, _ in hits)))
-    n_docs = len(matching)
-    avgdl = sum(lengths[i] for i in matching) / n_docs
-    scale = {i: BM25_K1 * (1.0 - BM25_B + BM25_B * lengths[i] / avgdl)
-             for i in matching}
-    k1_plus_1 = BM25_K1 + 1.0
-    for docs, freqs in hits:
-        n = len(docs)
-        idf = math.log(1.0 + (n_docs - n + 0.5) / (n + 0.5))
-        for i, freq in zip(docs, freqs):
-            scores[i] += idf * freq * k1_plus_1 / (freq + scale[i])
-    return scores
+    def __init__(self) -> None:
+        # term -> [ascending document numbers, occurrences, copies holding it]
+        self.postings: dict[str, list[Any]] = {}
+        self.lengths: list[int] = []  # tokens per document
+        self.copies: list[int] = []  # copies per document
+        self._tokens: list[int] = []  # tokens over all copies, per document
+        self._entries: list[list[list[Any]]] = []  # each document's postings
+        self._numbers: dict[Hashable, int] = {}  # key -> document number
+        self.documents: list[int] = []  # each copy's document, in add order
+
+    def add(self, key: Hashable,
+            counts: Callable[[], Mapping[str, int]]) -> None:
+        """Add one copy of the document `key`; `counts()` (its term
+        occurrences) is called only for a document not yet held."""
+        doc = self._numbers.get(key)
+        if doc is None:
+            doc = self._numbers[key] = len(self.lengths)
+            term_counts = counts()
+            self.lengths.append(sum(term_counts.values()))
+            self.copies.append(0)
+            self._tokens.append(0)
+            entries = []
+            for term, freq in term_counts.items():
+                entry = self.postings.get(term)
+                if entry is None:
+                    entry = self.postings[term] = [[], [], 0]
+                entry[0].append(doc)
+                entry[1].append(freq)
+                entries.append(entry)
+            self._entries.append(entries)
+        self.copies[doc] += 1
+        self._tokens[doc] += self.lengths[doc]
+        for entry in self._entries[doc]:
+            entry[2] += 1
+        self.documents.append(doc)
+
+    def bm25(self, query_terms: Iterable[str]) -> list[float]:
+        """`bm25_scores` of every copy, in add order: term-at-a-time in
+        sorted term order, so each score is summed in the order and float
+        expressions of the token-list form."""
+        postings = self.postings
+        hits = [postings[t] for t in sorted(postings.keys() & query_terms)]
+        if not hits:
+            return [0.0] * len(self.documents)
+        matching = set().union(*(docs for docs, _, _ in hits))
+        lengths = self.lengths
+        # with one copy of each document, copy i is document i
+        distinct = len(lengths) == len(self.documents)
+        n_docs = (len(matching) if distinct
+                  else sum(map(self.copies.__getitem__, matching)))
+        avgdl = sum(map(self._tokens.__getitem__, matching)) / n_docs
+        scale = {d: BM25_K1 * (1.0 - BM25_B + BM25_B * lengths[d] / avgdl)
+                 for d in matching}
+        k1_plus_1 = BM25_K1 + 1.0
+        scores = [0.0] * len(lengths)
+        for docs, freqs, n in hits:
+            idf = math.log(1.0 + (n_docs - n + 0.5) / (n + 0.5))
+            for d, freq in zip(docs, freqs):
+                scores[d] += idf * freq * k1_plus_1 / (freq + scale[d])
+        return (scores if distinct
+                else list(map(scores.__getitem__, self.documents)))
 
 
 def query_terms(env: TerminalEnv) -> set[str]:

@@ -237,6 +237,36 @@ class TestLoadAndPersist:
         assert sorted(tmp_path.rglob("*")) == before
         assert [e.id for e in kb.exemplars] == ["one"]
 
+    @pytest.mark.parametrize("indexed", [False, True])
+    def test_failed_write_leaves_base_unchanged(self, tmp_path, monkeypatch,
+                                                indexed):
+        self.write_kb(tmp_path)
+        kb = kn.load(tmp_path)
+        query = kn.tokenize("road closure example")
+        if indexed:
+            kn.retrieve(kb, query, 3)
+        before = kn.retrieve(kb, query, 3)
+
+        def full_disk(path, data):
+            raise OSError(28, "No space left on device")
+        monkeypatch.setattr(kn, "write_json", full_disk)
+        twin = kn.Exemplar("two", "closure example", "",
+                           CLOSURE_EXEMPLAR.program)
+        for ex in (twin, ROUTE_EXEMPLAR):
+            with pytest.raises(OSError):
+                kb.append_exemplar(ex)
+        assert [e.id for e in kb.exemplars] == ["one"]
+        assert kb.next_exemplar_id() == "acc-0002"
+        assert kn.retrieve(kb, query, 3) == before
+        assert sorted(p.name for p in (tmp_path / "exemplars").iterdir()) \
+            == ["one.json"]
+        monkeypatch.undo()
+        kb.append_exemplar(twin)  # the id was never taken
+        ctx = kn.retrieve(kb, query, 3)
+        assert [e.id for e in ctx.exemplars] == ["one", "two"]
+        assert ([e.id for e in ctx.exemplars], list(ctx.scores)) \
+            == ranked_by_reference(kb, "road closure example", 3)
+
     def test_load_rejects_id_not_matching_file(self, tmp_path):
         self.write_kb(tmp_path)
         (tmp_path / "exemplars" / "a.json").write_text(json.dumps({
@@ -369,10 +399,12 @@ class TestTopK:
 
 
 def ranked_by_reference(kb, query, k):
-    """Top-k (ids, scores) by the list-count scorer, ties by id."""
+    """Top-k (ids, scores) by the list-count scorer, ties by id; `query`
+    is text or a collection of terms."""
     exemplars = kb.exemplars
+    terms = kn.tokenize(query) if isinstance(query, str) else list(query)
     scores = helpers.list_count_bm25(
-        kn.tokenize(query), [kn.tokenize(e.document()) for e in exemplars])
+        terms, [kn.tokenize(e.document()) for e in exemplars])
     order = sorted(range(len(exemplars)),
                    key=lambda i: (-scores[i], exemplars[i].id))[:k]
     return [exemplars[i].id for i in order], [scores[i] for i in order]
@@ -557,9 +589,10 @@ def yard_env(seed, side=20, fleet=100):
         Requirements("engineer", (text,)))
 
 
-def golden_envs():
-    """(kind, env) of every default golden suite instance at every level."""
-    config = bench.SuiteConfig()
+def golden_envs(**config):
+    """(kind, env) of every golden suite instance at every level, for the
+    default suite or one with the given `SuiteConfig` fields."""
+    config = bench.SuiteConfig(**config)
     return [(kind, with_level(base, spec, level))
             for kind in config.scenarios
             for base, spec in generate_instances(
@@ -644,6 +677,110 @@ class TestQueryTerms:
             first, *rest = (getattr(env, part).digest_terms for env in envs)
             assert all(terms is first for terms in rest)
             assert first == frozenset(kn.tokenize(getattr(base, part).digest))
+
+
+class TestDuplicateDocuments:
+    """Accumulated bases repeat documents; the index holds each distinct
+    (description, program) once and still scores every exemplar exactly
+    as the list-count reference."""
+
+    ref = TestRetrieveMatchesReference()
+    FIVE = THREE + (
+        kn.Exemplar("ex-valid", "Plain dispatch with no restriction.", "",
+                    VALID_PROGRAM),
+        kn.Exemplar("ex-short", "road", "", VALID_PROGRAM))
+
+    def copies(self, rng, size, prefix):
+        ids = [f"{prefix}-{n:03d}" for n in rng.sample(range(1000), size)]
+        return [dataclasses.replace(rng.choice(self.FIVE), id=ident)
+                for ident in ids]
+
+    def assert_matches(self, kb, queries):
+        docs = [kn.tokenize(e.document()) for e in kb.exemplars]
+        for query in queries:
+            terms = kn.tokenize(query)
+            assert kb.bm25_scores(terms) == \
+                helpers.list_count_bm25(terms, docs)
+            for k in (1, 3, len(docs)):
+                self.ref.assert_matches(kb, query, k)
+
+    def grow(self, rng, kb, tag):
+        """Append one more copy of a held document and one new document."""
+        kb.append_exemplar(dataclasses.replace(rng.choice(kb.exemplars),
+                                               id=f"dup-{tag}"))
+        kb.append_exemplar(kn.Exemplar(f"new-{tag}", f"xylophone {tag} road",
+                                       "", VALID_PROGRAM))
+
+    def test_base_of_five_documents(self):
+        rng = random.Random(31)
+        for round_ in range(4):
+            kb = kn.KnowledgeBase(exemplars=self.copies(rng, 300, "ex"))
+            queries = [self.ref.random_query(rng) for _ in range(4)]
+            queries += ["xylophone road", "height closed yard"]
+            self.grow(rng, kb, f"{round_}a")  # before the first retrieval
+            self.assert_matches(kb, queries)
+            self.grow(rng, kb, f"{round_}b")  # extends the built index
+            self.assert_matches(kb, queries)
+            held = kb.exemplars
+            snap = kb.snapshot()
+            if round_ % 2:  # the snapshot's own index, built or not yet
+                self.assert_matches(snap, queries)
+            self.grow(rng, snap, f"{round_}c")
+            self.assert_matches(snap, queries)
+            self.grow(rng, snap, f"{round_}d")
+            self.assert_matches(snap, queries)
+            assert kb.exemplars == held
+            self.assert_matches(kb, queries)
+            assert len(kb._index.lengths) == 7
+            assert len(snap._index.lengths) == 9
+
+    def test_copies_index_as_one_document(self):
+        kb = kn.KnowledgeBase(exemplars=[
+            dataclasses.replace(CLOSURE_EXEMPLAR, id=f"c-{n:03d}")
+            for n in range(300)])
+        ctx = kn.retrieve(kb, kn.tokenize("road closed"), 3)
+        assert [e.id for e in ctx.exemplars] == ["c-000", "c-001", "c-002"]
+        index = kb._index
+        counts = CLOSURE_EXEMPLAR.term_counts
+        assert index.lengths == [sum(counts.values())]
+        assert index.copies == [300]
+        assert index.documents == [0] * 300
+        assert index.postings == {term: [[0], [freq], 300]
+                                  for term, freq in counts.items()}
+        kb.append_exemplar(dataclasses.replace(ROUTE_EXEMPLAR, id="r-1"))
+        kb.append_exemplar(dataclasses.replace(CLOSURE_EXEMPLAR, id="c-300"))
+        assert index.copies == [301, 1]
+        assert index.documents == [0] * 300 + [1, 0]
+        assert index.postings["road"] == [[0], [counts["road"]], 301]
+        assert index.postings["flow"][2] == 302
+        self.assert_matches(kb, ["road closed", "designated route yard"])
+
+    def test_token_lists_with_copies(self):
+        rng = random.Random(32)
+        vocab = [f"w{i}" for i in range(10)]
+        for _ in range(300):
+            pool = [rng.choices(vocab, k=rng.randint(0, 12))
+                    for _ in range(rng.randint(1, 4))]
+            docs = [list(rng.choice(pool)) for _ in range(rng.randint(0, 30))]
+            query = rng.choices(vocab + ["zzz"], k=rng.randint(0, 5))
+            assert (kn.bm25_scores(query, docs)
+                    == helpers.list_count_bm25(query, docs))
+
+    def test_suite_traffic_on_an_accumulated_base(self):
+        """Golden exemplars of one seed's suite, queried by another's."""
+        kb = kn.load_seed_kb().snapshot()
+        for kind, env in golden_envs(seed=7):
+            kn.accumulate(kb, env, injection.CORRECT_PROGRAMS[kind],
+                          " ".join(env.requirements.texts))
+        assert len(kb.exemplars) == 46
+        envs = golden_envs(seed=8)
+        assert len(envs) == 45
+        for _, env in envs:
+            terms = kn.query_terms(env)
+            ctx = kn.retrieve(kb, terms, 3)
+            assert ([e.id for e in ctx.exemplars], list(ctx.scores)) \
+                == ranked_by_reference(kb, terms, 3)
+        assert len(kb._index.lengths) < len(kb.exemplars) / 4
 
 
 class TestAccumulate:
