@@ -48,8 +48,13 @@ print(f"ssr by level exact test: p {exact['p_value']:.4f}")
 
 # Ablations switch off one mechanism at a time. This script is built
 # so most instances need retrieved knowledge in the prompt, while a
-# few instead need the debugger's second attempt.
+# few instead need the debugger's second attempt. The same exact test
+# runs on the levels x iteration-count table; with one attempt allowed
+# that table has a single column, so the entry is omitted.
 script = injection.ablation_script()
 for ablation in ("none", "no-rag", "no-self-correction"):
     report = run(script, ablation=ablation)
     show(f"ablation {ablation}", report)
+    iterations = report["stats"].get("iterations_exact")
+    p = "n/a" if iterations is None else f"{iterations['p_value']:.4f}"
+    print(f"{'':28s} iterations by level exact test: p {p}")

@@ -27,7 +27,7 @@ from .instances import generate_instances, with_level
 from .knowledge import KnowledgeBase, accumulate
 from .llm import Backend, MockBackend
 from .solver import DEFAULT_TIME_LIMIT, oracle_solve
-from .stats import DegenerateInput, DegenerateTable, anova_test, exact_test
+from .stats import DegenerateTable, exact_test
 from .workflow import (TransferOutcome, WorkflowConfig, is_executed,
                        run_transfer)
 
@@ -194,28 +194,31 @@ def _grouped(results: list[InstanceResult],
     return {name: rs for name, rs in groups.items() if rs}
 
 
-def _stats_block(results: list[InstanceResult],
-                 levels: tuple[str, ...]) -> dict[str, Any]:
+def _stats_block(results: list[InstanceResult], levels: tuple[str, ...],
+                 max_iterations: int) -> dict[str, Any]:
+    """Exact test of each outcome against expertise level.
+
+    The iterations table has one column per count 1..max_iterations, so
+    its shape follows the workflow config, not the data.
+    """
     by_level = _grouped(results, lambda r: r.level, levels)
     groups = [by_level[lv] for lv in levels if lv in by_level]
     if len(groups) < 2:
         return {}
-    tests = (
-        ("cer_exact", exact_test,
-         [[sum(r.executed for r in g), sum(not r.executed for r in g)]
-          for g in groups]),
-        ("ssr_exact", exact_test,
-         [[sum(r.solved for r in g), sum(not r.solved for r in g)]
-          for g in groups]),
-        ("iterations_anova", anova_test,
-         [[float(r.iterations) for r in g] for g in groups]),
-        ("time_anova", anova_test, [[r.wall_time for r in g] for g in groups]),
-    )
+    tables = {
+        "cer_exact": [[sum(r.executed for r in g),
+                       sum(not r.executed for r in g)] for g in groups],
+        "ssr_exact": [[sum(r.solved for r in g),
+                       sum(not r.solved for r in g)] for g in groups],
+        "iterations_exact": [[sum(r.iterations == k for r in g)
+                              for k in range(1, max_iterations + 1)]
+                             for g in groups],
+    }
     stats: dict[str, Any] = {}
-    for name, test, data in tests:
+    for name, table in tables.items():
         try:
-            result = test(data)
-        except (DegenerateTable, DegenerateInput):
+            result = exact_test(table)
+        except DegenerateTable:
             continue  # too little data for this test; omit the entry
         stats[name] = dict(asdict(result),
                            significant=result.p_value < SIGNIFICANCE_LEVEL)
@@ -301,7 +304,8 @@ def run_benchmark(suite: SuiteConfig, kb: KnowledgeBase,
                          for k, v in by_level.items()},
         },
         "failure_categories": dict(sorted(categories.items())),
-        "stats": _stats_block(results, suite.levels),
+        "stats": _stats_block(results, suite.levels,
+                              wf_config.max_iterations),
         "generated_at": datetime.now(timezone.utc).isoformat(),
     }
     return report

@@ -8,10 +8,11 @@ reference for graphs too large to enumerate; `list_count_bm25` is the
 retriever's earlier scorer, which re-counts every term in each token
 list.  `rendered_env_digest`, `regex_tokenize` and `key_function_top_k`
 are the earlier digest renderer, tokenizer and top-k ranking.
-`fraction_exact_p` is the exact r x 2 test computed with hypergeometric
-probabilities as Fractions.  `network_from` turns a link -> length dict
-into the `Network` the solver reads, so an expected value can come from
-the dict while the solver runs on the network.
+`fraction_exact_p` is the exact r x c test computed with multivariate
+hypergeometric probabilities as Fractions, over tables filled cell by
+cell.  `network_from` turns a link -> length dict into the `Network`
+the solver reads, so an expected value can come from the dict while the
+solver runs on the network.
 """
 
 from __future__ import annotations
@@ -273,34 +274,40 @@ def key_function_top_k(scores: Sequence[float], ids: Sequence[str],
 
 
 def fraction_exact_p(table: Sequence[Sequence[int]]) -> float:
-    """Freeman-Halton p of an r x 2 table, summed over Fractions.
+    """Freeman-Halton p of an r x c table, summed over Fractions.
 
-    Every first column with the observed row sizes and column total gets
-    its multivariate hypergeometric probability from factorials; p sums
-    the probabilities no larger than the observed table's.
+    Every table with the observed row and column sums, filled cell by
+    cell in row-major order, gets its multivariate hypergeometric
+    probability prod n_i! prod C_j! / (N! prod x_ij!) from factorials;
+    p sums the probabilities no larger than the observed table's.
     """
-    sizes = [a + b for a, b in table]
-    total = sum(a for a, _ in table)
-    grand = sum(sizes)
+    sizes = tuple(sum(r) for r in table)
+    totals = tuple(sum(c) for c in zip(*table))
+    width = len(totals)
     fact = math.factorial
-    numerator = fact(total) * fact(grand - total) * math.prod(map(fact, sizes))
+    numerator = math.prod(map(fact, sizes)) * math.prod(map(fact, totals))
+    grand = fact(sum(sizes))
 
-    def probability(column: Sequence[int]) -> Fraction:
-        denominator = fact(grand) * math.prod(
-            fact(a) * fact(n - a) for n, a in zip(sizes, column))
-        return Fraction(numerator, denominator)
+    def probability(cells: Sequence[int]) -> Fraction:
+        return Fraction(numerator, grand * math.prod(map(fact, cells)))
 
-    def columns(row: int, left: int):
-        if row == len(sizes) - 1:
-            if left <= sizes[row]:
-                yield (left,)
+    def fill(cells: tuple[int, ...], row_left: int,
+             col_left: tuple[int, ...]):
+        i, j = divmod(len(cells), width)
+        if i == len(sizes):
+            if not any(col_left):
+                yield cells
             return
-        for a in range(min(sizes[row], left) + 1):
-            for rest in columns(row + 1, left - a):
-                yield (a,) + rest
+        left = sizes[i] if j == 0 else row_left
+        # the row's last cell takes what is left of the row
+        low = left if j == width - 1 else 0
+        for x in range(low, min(left, col_left[j]) + 1):
+            yield from fill(cells + (x,), left - x,
+                            col_left[:j] + (col_left[j] - x,)
+                            + col_left[j + 1:])
 
-    observed = probability([a for a, _ in table])
-    probabilities = [probability(c) for c in columns(0, total)]
+    observed = probability([x for r in table for x in r])
+    probabilities = [probability(c) for c in fill((), 0, totals)]
     assert sum(probabilities) == 1
     return float(sum(p for p in probabilities if p <= observed))
 

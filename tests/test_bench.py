@@ -254,7 +254,6 @@ def normalize(report):
                 *doc["aggregates"]["by_scenario"].values(),
                 *doc["aggregates"]["by_level"].values()]:
         agg.pop("mean_wall_time")
-    doc["stats"].pop("time_anova", None)
     return doc
 
 
@@ -275,7 +274,8 @@ class TestRunBenchmark:
             list(bench.SuiteConfig().levels)
         assert report["stats"]["ssr_exact"] == {"p_value": 1.0,
                                                 "significant": False}
-        assert report["stats"]["iterations_anova"]["f_stat"] == 0.0
+        assert report["stats"]["iterations_exact"] == {"p_value": 1.0,
+                                                       "significant": False}
         assert [row["trace"] for row in report["instances"]] == [None] * 9
         ids = [row["instance_id"] for row in report["instances"]]
         assert ids[0] == "road_closure-00-technician"
@@ -294,9 +294,10 @@ class TestRunBenchmark:
             data = json.loads(Path(row["trace"]).read_text())
             assert data["status"] == "solved"
         assert len(list((tmp_path / "traces").glob("*.trace.json"))) == 3
-        # one observation per level: the exact test still works, ANOVA cannot
+        # one run per level still gives a levels x iterations table
         assert "ssr_exact" in report["stats"]
-        assert "iterations_anova" not in report["stats"]
+        assert report["stats"]["iterations_exact"] == {"p_value": 1.0,
+                                                       "significant": False}
 
     def test_reports_identical_modulo_clock(self):
         suite = small_suite()
@@ -361,6 +362,13 @@ class TestRunBenchmark:
             small_suite(levels=("engineer",)), load_seed_kb(),
             bench.scripted_provider(inj.golden_script()))
         assert report["stats"] == {}
+
+    def test_single_attempt_omits_iterations_entry(self):
+        # max_iterations 1 gives a levels x 1 table, which tests nothing
+        report = bench.run_benchmark(
+            small_suite(ablation="no-self-correction"), load_seed_kb(),
+            bench.scripted_provider(inj.golden_script()))
+        assert sorted(report["stats"]) == ["cer_exact", "ssr_exact"]
 
 
 class TestAccumulation:
