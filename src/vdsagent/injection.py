@@ -242,8 +242,6 @@ def ablation_script(seed: int = 42) -> dict[str, Any]:
 def resolve_run_script(suite_script: dict[str, Any], instance: str,
                        kind: str) -> dict[str, Any]:
     """The single-run script for one benchmark instance."""
-    if not isinstance(suite_script, dict):
-        raise ConfigError("suite script must be a JSON object")
     if {"modeler", "coder", "debugger"} & set(suite_script):
         return suite_script
     by_instance = suite_script.get("instances", {})

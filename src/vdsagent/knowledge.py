@@ -8,10 +8,12 @@ a set of terms, not text (`query_terms`).  A base keeps an inverted index
 (term -> documents and occurrences), built on its first retrieval and
 extended by appends, so a query reads only the postings of its own terms
 (Zobel & Moffat 2006).  The index holds each distinct document once, keyed
-by (description, program), with a count of the exemplars that copy it:
-BM25 scores a document from its term counts alone, so every copy gets the
-same score, computed once.  Copies still count in N, document frequency
-and average length, so scores are those of scoring every exemplar.
+by (description, program), with the exemplars that copy it: BM25 scores a
+document from its term counts alone, so every copy gets the same score,
+computed once, and retrieval ranks documents, then the copies of those
+that reach the k-th best copy's score.  Copies still count in N, document
+frequency and average length, so scores are those of scoring every
+exemplar.
 
 BM25 statistics (N, document frequency, average length) are computed
 over the matching subset only (documents sharing at least one query
@@ -21,15 +23,14 @@ existing results, which retrieval here must never do.
 
 from __future__ import annotations
 
-import heapq
 import math
 import re
 from collections import Counter
 from dataclasses import asdict, dataclass, fields
-from functools import cached_property, partial
+from functools import cached_property
+from itertools import chain, compress
 from pathlib import Path
-from typing import (Any, Callable, Collection, Hashable, Iterable, Mapping,
-                    Sequence)
+from typing import Any, Collection, Iterable, Mapping, Sequence
 
 import yaml
 
@@ -148,7 +149,7 @@ class KnowledgeBase:
         self._exemplars.append(ex)
         self._ids.add(ex.id)
         if self._index is not None:
-            _index_exemplar(self._index, ex)
+            self._index.add(ex)
 
     def next_exemplar_id(self) -> str:
         n = len(self._exemplars) + 1
@@ -156,18 +157,15 @@ class KnowledgeBase:
             n += 1
         return f"{ACCUMULATED_ID_PREFIX}-{n:04d}"
 
-    def bm25_scores(self, query_terms: Iterable[str]) -> list[float]:
-        """`bm25_scores` of every exemplar, in store order."""
+    @property
+    def index(self) -> Index:
+        """The exemplars' `Index`, built on first use, extended by appends."""
         if self._index is None:
             index = Index()
             for ex in self._exemplars:
-                _index_exemplar(index, ex)
+                index.add(ex)
             self._index = index  # published whole: readers see no partial one
-        return self._index.bm25(query_terms)
-
-
-def _index_exemplar(index: Index, ex: Exemplar) -> None:
-    index.add((ex.description, ex.program), lambda: ex.term_counts)
+        return self._index
 
 
 def _parse_front_matter(text: str, where: str) -> tuple[dict[str, Any], str]:
@@ -231,47 +229,33 @@ def load_seed_kb() -> KnowledgeBase:
     return kb
 
 
-def bm25_scores(query_terms: list[str], documents: list[list[str]]) -> list[float]:
-    """Okapi BM25 with idf = ln(1 + (N - n + 0.5)/(n + 0.5)).
-
-    Duplicate query terms count once.  All statistics are taken over the
-    documents that share at least one query term; zero-overlap documents
-    score 0 and cannot influence the others.
-    """
-    index = Index()
-    for doc in documents:
-        index.add(tuple(doc), partial(Counter, doc))
-    return index.bm25(query_terms)
-
-
 class Index:
-    """Inverted index over distinct documents; `add` takes one copy.
+    """Inverted index over distinct documents, each with the exemplars
+    that copy it.
 
-    N, document frequency and average length count every copy, so each
-    document's score is the one the token-list form gives every copy.
+    N, document frequency and average length count every copy, so a
+    document's score is the one each of its copies gets when every
+    exemplar is scored on its own.
     """
 
     def __init__(self) -> None:
         # term -> [ascending document numbers, occurrences, copies holding it]
         self.postings: dict[str, list[Any]] = {}
         self.lengths: list[int] = []  # tokens per document
-        self.copies: list[int] = []  # copies per document
-        self._tokens: list[int] = []  # tokens over all copies, per document
+        self.copies: list[list[Exemplar]] = []  # per document, in add order
         self._entries: list[list[list[Any]]] = []  # each document's postings
-        self._numbers: dict[Hashable, int] = {}  # key -> document number
-        self.documents: list[int] = []  # each copy's document, in add order
+        self._numbers: dict[tuple[str, str], int] = {}  # number by key
 
-    def add(self, key: Hashable,
-            counts: Callable[[], Mapping[str, int]]) -> None:
-        """Add one copy of the document `key`; `counts()` (its term
-        occurrences) is called only for a document not yet held."""
+    def add(self, ex: Exemplar) -> None:
+        """Add `ex` as one more copy of its (description, program); its
+        `term_counts` are read only for a document not yet held."""
+        key = (ex.description, ex.program)
         doc = self._numbers.get(key)
         if doc is None:
             doc = self._numbers[key] = len(self.lengths)
-            term_counts = counts()
+            term_counts = ex.term_counts
             self.lengths.append(sum(term_counts.values()))
-            self.copies.append(0)
-            self._tokens.append(0)
+            self.copies.append([])
             entries = []
             for term, freq in term_counts.items():
                 entry = self.postings.get(term)
@@ -281,37 +265,42 @@ class Index:
                 entry[1].append(freq)
                 entries.append(entry)
             self._entries.append(entries)
-        self.copies[doc] += 1
-        self._tokens[doc] += self.lengths[doc]
+        self.copies[doc].append(ex)
         for entry in self._entries[doc]:
             entry[2] += 1
-        self.documents.append(doc)
 
     def bm25(self, query_terms: Iterable[str]) -> list[float]:
-        """`bm25_scores` of every copy, in add order: term-at-a-time in
-        sorted term order, so each score is summed in the order and float
-        expressions of the token-list form."""
+        """Okapi BM25 of every document, in add order, with
+        idf = ln(1 + (N - n + 0.5)/(n + 0.5)).
+
+        Duplicate query terms count once.  All statistics are taken over
+        the copies that share at least one query term; other documents
+        score 0 and cannot influence the rest.  Scores are summed
+        term-at-a-time in sorted term order.
+        """
         postings = self.postings
         hits = [postings[t] for t in sorted(postings.keys() & query_terms)]
-        if not hits:
-            return [0.0] * len(self.documents)
-        matching = set().union(*(docs for docs, _, _ in hits))
         lengths = self.lengths
-        # with one copy of each document, copy i is document i
-        distinct = len(lengths) == len(self.documents)
-        n_docs = (len(matching) if distinct
-                  else sum(map(self.copies.__getitem__, matching)))
-        avgdl = sum(map(self._tokens.__getitem__, matching)) / n_docs
-        scale = {d: BM25_K1 * (1.0 - BM25_B + BM25_B * lengths[d] / avgdl)
-                 for d in matching}
-        k1_plus_1 = BM25_K1 + 1.0
         scores = [0.0] * len(lengths)
+        if not hits:
+            return scores
+        matching = set().union(*(docs for docs, _, _ in hits))
+        copies = self.copies
+        n_docs = tokens = 0
+        for d in matching:
+            held = len(copies[d])
+            n_docs += held
+            tokens += lengths[d] * held
+        avgdl = tokens / n_docs
+        scale = [0.0] * len(lengths)  # read for matching documents only
+        for d in matching:
+            scale[d] = BM25_K1 * (1.0 - BM25_B + BM25_B * lengths[d] / avgdl)
+        k1_plus_1 = BM25_K1 + 1.0
         for docs, freqs, n in hits:
             idf = math.log(1.0 + (n_docs - n + 0.5) / (n + 0.5))
             for d, freq in zip(docs, freqs):
                 scores[d] += idf * freq * k1_plus_1 / (freq + scale[d])
-        return (scores if distinct
-                else list(map(scores.__getitem__, self.documents)))
+        return scores
 
 
 def query_terms(env: TerminalEnv) -> set[str]:
@@ -337,17 +326,26 @@ def retrieve(kb: KnowledgeBase, terms: Collection[str],
     primitives = tuple(sorted(
         kb.primitives,
         key=lambda p: (PRIMITIVE_CATEGORIES.index(p.category), p.id)))
-    exemplars = kb.exemplars
-    if k == 0 or not exemplars:
+    if k == 0:
         return RetrievedContext(primitives=primitives, exemplars=(), scores=())
-    scores = kb.bm25_scores(terms)
-    floor = heapq.nlargest(k, scores)[-1]  # the k-th best score
-    top = sorted((i for i, score in enumerate(scores) if score >= floor),
-                 key=lambda i: (-scores[i], exemplars[i].id))[:k]
+    index = kb.index
+    scores = index.bm25(terms)
+    # documents best-first until they hold the k-th best copy: those that
+    # share a query term by score, then the rest, which all score 0
+    ranked = chain(sorted(compress(range(len(scores)), scores),
+                          key=scores.__getitem__, reverse=True),
+                   (d for d, score in enumerate(scores) if not score))
+    top: list[tuple[float, Exemplar]] = []
+    for d in ranked:
+        score = scores[d]
+        if len(top) >= k and score < top[-1][0]:
+            break  # the k-th best copy and all tied with it are held
+        top += [(score, ex) for ex in index.copies[d]]
+    top = sorted(top, key=lambda pair: (-pair[0], pair[1].id))[:k]
     return RetrievedContext(
         primitives=primitives,
-        exemplars=tuple(exemplars[i] for i in top),
-        scores=tuple(scores[i] for i in top),
+        exemplars=tuple(ex for _, ex in top),
+        scores=tuple(score for score, _ in top),
     )
 
 

@@ -6,8 +6,8 @@ these functions can serve as ground truth for exactness tests.
 `path_heap_dijkstra` is the solver's earlier search, kept as the
 reference for graphs too large to enumerate; `list_count_bm25` is the
 retriever's earlier scorer, which re-counts every term in each token
-list.  `rendered_env_digest`, `regex_tokenize` and `key_function_top_k`
-are the earlier digest renderer, tokenizer and top-k ranking.
+list.  `rendered_env_digest` and `regex_tokenize` are the earlier digest
+renderer and tokenizer.
 `fraction_exact_p` is the exact r x c test computed with multivariate
 hypergeometric probabilities as Fractions, over tables filled cell by
 cell.  `network_from` turns a link -> length dict into the `Network`
@@ -264,13 +264,6 @@ def rendered_env_digest(env: TerminalEnv) -> str:
 def regex_tokenize(text: str) -> list[str]:
     """Retrieval tokens as a regex finds them."""
     return re.findall(r"[a-z0-9]+", text.lower())
-
-
-def key_function_top_k(scores: Sequence[float], ids: Sequence[str],
-                       k: int) -> list[int]:
-    """Indexes of the k best scores, ties by id, ranked by a key function."""
-    return heapq.nsmallest(k, range(len(scores)),
-                           key=lambda i: (-scores[i], ids[i]))
 
 
 def fraction_exact_p(table: Sequence[Sequence[int]]) -> float:

@@ -233,10 +233,6 @@ class TestResolveRunScript:
         with pytest.raises(ConfigError):
             inj.resolve_run_script({"scenarios": {}}, "x", "road_closure")
 
-    def test_non_object_raises(self):
-        with pytest.raises(ConfigError):
-            inj.resolve_run_script(["not", "a", "dict"], "x", "road_closure")
-
 
 def small_suite(**kwargs):
     base = dict(instances_per_scenario=1)

@@ -292,6 +292,27 @@ class TestLoadAndPersist:
         assert kb.exemplars[0].env_digest == env_digest(env)
 
 
+def token_base(token_lists, ids=None):
+    """A base holding each token list as one exemplar's description (ids
+    d000, d001, ... unless given), so its document is those tokens."""
+    ids = ids or [f"d{i:03d}" for i in range(len(token_lists))]
+    return kn.KnowledgeBase(exemplars=[
+        kn.Exemplar(ident, " ".join(tokens), "", "")
+        for ident, tokens in zip(ids, token_lists)])
+
+
+def store_order_scores(kb, terms):
+    """Every exemplar's score, in store order, from `retrieve` with k =
+    |exemplars|, whose whole ranking must be the reference's."""
+    n = len(kb.exemplars)
+    ctx = kn.retrieve(kb, terms, n)
+    ids, scores = ranked_by_reference(kb, terms, n)
+    assert [e.id for e in ctx.exemplars] == ids
+    assert list(ctx.scores) == scores
+    by_id = dict(zip(ids, scores))
+    return [by_id[e.id] for e in kb.exemplars]
+
+
 class TestBm25:
     QUERY = "The road between node 6 and node 7 is closed."
 
@@ -299,19 +320,20 @@ class TestBm25:
         return [kn.tokenize(e.document()) for e in THREE]
 
     def test_frozen_fixture_scores(self):
-        scores = kn.bm25_scores(kn.tokenize(self.QUERY), self.docs())
+        scores = store_order_scores(token_base(self.docs()),
+                                    kn.tokenize(self.QUERY))
         expected = [3.6053741191844946, 0.6346745904418587,
                     0.6292782218552455]
         assert scores == pytest.approx(expected, rel=1e-12)
 
     def test_zero_overlap_scores_zero(self):
-        scores = kn.bm25_scores(["xylophone"], self.docs())
+        scores = store_order_scores(token_base(self.docs()), ["xylophone"])
         assert scores == [0.0, 0.0, 0.0]
 
     def test_duplicate_query_terms_count_once(self):
-        docs = self.docs()
-        once = kn.bm25_scores(kn.tokenize("road closed"), docs)
-        twice = kn.bm25_scores(kn.tokenize("road road closed closed"), docs)
+        kb = token_base(self.docs())
+        once = store_order_scores(kb, kn.tokenize("road closed"))
+        twice = store_order_scores(kb, kn.tokenize("road road closed closed"))
         assert once == twice
 
     def test_unrelated_document_never_reorders(self):
@@ -321,9 +343,9 @@ class TestBm25:
             docs = [[rng.choice(vocab) for _ in range(rng.randint(1, 8))]
                     for _ in range(rng.randint(2, 5))]
             query = [rng.choice(vocab) for _ in range(rng.randint(1, 4))]
-            before = kn.bm25_scores(query, docs)
+            before = store_order_scores(token_base(docs), query)
             unrelated = ["zzz"] * rng.randint(1, 30)
-            after = kn.bm25_scores(query, docs + [unrelated])
+            after = store_order_scores(token_base(docs + [unrelated]), query)
             assert after[:len(docs)] == before
             assert after[-1] == 0.0
 
@@ -377,25 +399,6 @@ class TestRetrieve:
         kb = kn.KnowledgeBase(exemplars=(twin_b, twin_a))
         ctx = kn.retrieve(kb, kn.tokenize("identical words"), 2)
         assert [e.id for e in ctx.exemplars] == ["a-twin", "b-twin"]
-
-
-class TestTopK:
-    """Ranking only the candidates that reach the k-th best score."""
-
-    @pytest.mark.parametrize("seed", range(25))
-    def test_matches_key_function_ranking(self, seed):
-        rng = random.Random(seed)
-        n = rng.randint(1, 30)
-        ids = [f"ex-{i:03d}" for i in rng.sample(range(1000), n)]
-        scores = [rng.choice((0.0, 0.0, 0.5, 1.25, 3.0)) for _ in range(n)]
-        kb = kn.KnowledgeBase(
-            exemplars=[kn.Exemplar(i, "d", "", VALID_PROGRAM) for i in ids])
-        kb.bm25_scores = lambda _terms: scores
-        for k in (0, 1, 3, n, n + 2):
-            ctx = kn.retrieve(kb, kn.tokenize("query"), k)
-            top = helpers.key_function_top_k(scores, ids, k)
-            assert [e.id for e in ctx.exemplars] == [ids[i] for i in top]
-            assert ctx.scores == tuple(scores[i] for i in top)
 
 
 def ranked_by_reference(kb, query, k):
@@ -475,6 +478,27 @@ class TestRetrieveMatchesReference:
             for query in queries + [added.description]:
                 for base in (kb, snap):
                     self.assert_matches(base, query, len(base.exemplars))
+
+
+class TestTopK:
+    """Heavily tied bases, zero scores and k of 0 or past the store rank
+    as the reference's key function does."""
+
+    ref = TestRetrieveMatchesReference()
+
+    @pytest.mark.parametrize("seed", range(25))
+    def test_matches_key_function_ranking(self, seed):
+        rng = random.Random(seed)
+        n = rng.randint(1, 30)
+        ids = [f"ex-{i:03d}" for i in rng.sample(range(1000), n)]
+        texts = [" ".join(rng.choices(("road", "closed", "gate"),
+                                      k=rng.randint(1, 3)))
+                 for _ in range(rng.randint(1, 3))]
+        kb = kn.KnowledgeBase(exemplars=[
+            kn.Exemplar(i, rng.choice(texts), "", VALID_PROGRAM) for i in ids])
+        for query in ("road", "closed gate", "quay road", "xylophone"):
+            for k in (0, 1, 3, n, n + 2):
+                self.ref.assert_matches(kb, query, k)
 
 
 class TestIndexLifecycle:
@@ -567,7 +591,7 @@ class TestIndexLifecycle:
             docs = [rng.choices(vocab, k=rng.randint(0, 20))
                     for _ in range(rng.randint(0, 8))]
             query = rng.choices(vocab + ["zzz"], k=rng.randint(0, 6))
-            assert (kn.bm25_scores(query, docs)
+            assert (store_order_scores(token_base(docs), query)
                     == helpers.list_count_bm25(query, docs))
 
 
@@ -629,14 +653,11 @@ class TestQueryTerms:
         got = [e.id for e in ctx.exemplars], list(ctx.scores)
         tokens = kn.retrieve(kb, kn.tokenize(text), k)
         assert got == ([e.id for e in tokens.exemplars], list(tokens.scores))
-        # the token-list scorer over the documents' token lists
-        exemplars = kb.exemplars
-        scores = kn.bm25_scores(kn.tokenize(text),
-                                [kn.tokenize(e.document()) for e in exemplars])
-        top = sorted(range(len(exemplars)),
-                     key=lambda i: (-scores[i], exemplars[i].id))[:k]
-        assert got == ([exemplars[i].id for i in top],
-                       [scores[i] for i in top])
+        # a base of the documents' token lists, queried by the text's tokens
+        listed = token_base([kn.tokenize(e.document()) for e in kb.exemplars],
+                            [e.id for e in kb.exemplars])
+        ctx = kn.retrieve(listed, kn.tokenize(text), k)
+        assert got == ([e.id for e in ctx.exemplars], list(ctx.scores))
         assert got == ranked_by_reference(kb, text, k)
 
     def test_yard(self, seed_kb, grown_base):
@@ -699,7 +720,7 @@ class TestDuplicateDocuments:
         docs = [kn.tokenize(e.document()) for e in kb.exemplars]
         for query in queries:
             terms = kn.tokenize(query)
-            assert kb.bm25_scores(terms) == \
+            assert store_order_scores(kb, terms) == \
                 helpers.list_count_bm25(terms, docs)
             for k in (1, 3, len(docs)):
                 self.ref.assert_matches(kb, query, k)
@@ -742,15 +763,16 @@ class TestDuplicateDocuments:
         assert [e.id for e in ctx.exemplars] == ["c-000", "c-001", "c-002"]
         index = kb._index
         counts = CLOSURE_EXEMPLAR.term_counts
+        held = list(kb.exemplars)
         assert index.lengths == [sum(counts.values())]
-        assert index.copies == [300]
-        assert index.documents == [0] * 300
+        assert index.copies == [held]
         assert index.postings == {term: [[0], [freq], 300]
                                   for term, freq in counts.items()}
-        kb.append_exemplar(dataclasses.replace(ROUTE_EXEMPLAR, id="r-1"))
-        kb.append_exemplar(dataclasses.replace(CLOSURE_EXEMPLAR, id="c-300"))
-        assert index.copies == [301, 1]
-        assert index.documents == [0] * 300 + [1, 0]
+        route = dataclasses.replace(ROUTE_EXEMPLAR, id="r-1")
+        closure = dataclasses.replace(CLOSURE_EXEMPLAR, id="c-300")
+        kb.append_exemplar(route)
+        kb.append_exemplar(closure)
+        assert index.copies == [held + [closure], [route]]
         assert index.postings["road"] == [[0], [counts["road"]], 301]
         assert index.postings["flow"][2] == 302
         self.assert_matches(kb, ["road closed", "designated route yard"])
@@ -763,8 +785,30 @@ class TestDuplicateDocuments:
                     for _ in range(rng.randint(1, 4))]
             docs = [list(rng.choice(pool)) for _ in range(rng.randint(0, 30))]
             query = rng.choices(vocab + ["zzz"], k=rng.randint(0, 5))
-            assert (kn.bm25_scores(query, docs)
+            kb = token_base(docs)
+            assert len(kb.index.lengths) == len({tuple(d) for d in docs})
+            assert (store_order_scores(kb, query)
                     == helpers.list_count_bm25(query, docs))
+
+    def test_tie_spans_documents(self):
+        """Two documents of the same tokens in another order score alike;
+        a k that cuts their tied copies takes the lowest ids of both."""
+        rng = random.Random(33)
+        texts = ("road closed", "closed road") * 5
+        exemplars = [kn.Exemplar(f"t-{n:02d}", text, "", VALID_PROGRAM)
+                     for n, text in enumerate(texts)]
+        exemplars.append(kn.Exemplar("a-road", "road", "", VALID_PROGRAM))
+        rng.shuffle(exemplars)
+        kb = kn.KnowledgeBase(exemplars=exemplars)
+        for k in (1, 2, 3, 6, 9, 10, 11, 12):
+            ctx = kn.retrieve(kb, kn.tokenize("road closed"), k)
+            assert ([e.id for e in ctx.exemplars], list(ctx.scores)) \
+                == ranked_by_reference(kb, "road closed", k)
+            assert [e.id for e in ctx.exemplars][:10] == \
+                [f"t-{n:02d}" for n in range(min(k, 10))]
+        assert len(kb.index.lengths) == 3
+        tied = ctx.scores[0]
+        assert ctx.scores[:10] == (tied,) * 10 and ctx.scores[10] < tied
 
     def test_suite_traffic_on_an_accumulated_base(self):
         """Golden exemplars of one seed's suite, queried by another's."""
