@@ -22,17 +22,16 @@ from typing import Any
 from . import llm
 from .bench import (ABLATIONS, BackendProvider, SuiteConfig, report_to_csv,
                     run_benchmark, scripted_provider, shared_provider)
-from .env import ScenarioSpec, TerminalEnv, parse_environment
+from .env import (DEFAULT_ENV_DIR, DEFAULT_NETWORK_FILE, ScenarioSpec,
+                  TerminalEnv, parse_environment)
 from .errors import ConfigError, VdsAgentError
 from .files import atomic_write, read_json, write_json
 from .knowledge import Exemplar, KnowledgeBase, load, load_seed_kb
 from .solver import DEFAULT_TIME_LIMIT, SolveError, oracle_solve
 from .workflow import WorkflowConfig, run_transfer
 
-_DATA = Path(__file__).resolve().parent / "data"
-DEFAULT_NETWORK_FILE = _DATA / "default_env" / "network.json"
-DEFAULT_CONFIG_FILE = _DATA / "default_env" / "config.json"
-DEFAULT_REQUIREMENTS_FILE = _DATA / "default_env" / "requirements.json"
+DEFAULT_CONFIG_FILE = DEFAULT_ENV_DIR / "config.json"
+DEFAULT_REQUIREMENTS_FILE = DEFAULT_ENV_DIR / "requirements.json"
 
 
 def _read_text(path: str | Path, what: str) -> str:

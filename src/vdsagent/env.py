@@ -12,6 +12,7 @@ import re
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
+from pathlib import Path
 from typing import Any
 
 from .errors import CrossReferenceError, SchemaError, UnknownCombination
@@ -20,6 +21,9 @@ from .files import read_json
 EXPERTISE_LEVELS = ("technician", "engineer", "scientist")
 
 SCENARIO_KINDS = ("road_closure", "forbidden_edge_vehicle", "designated_route")
+
+DEFAULT_ENV_DIR = Path(__file__).resolve().parent / "data" / "default_env"
+DEFAULT_NETWORK_FILE = DEFAULT_ENV_DIR / "network.json"
 
 # Byte table mapping everything but 0-9 and a-z to a space.
 _SEPARATORS = bytes(c if 48 <= c <= 57 or 97 <= c <= 122 else 32
@@ -395,28 +399,10 @@ def parse_environment(network_text: str, config_text: str,
 
 
 def default_network() -> Network:
-    """The standard benchmark road grid.
-
-    4 rows x 5 columns, nodes 0..19 row-major, every grid adjacency is
-    bidirectional with length 10, plus the diagonal pair (6,10)/(10,6)
-    with length 14 (20 nodes, 64 directed edges).
-    """
-    nodes = tuple(Node(id=i) for i in range(20))
-    pairs: list[tuple[int, int, float]] = []
-    for row in range(4):
-        for col in range(5):
-            u = row * 5 + col
-            if col + 1 < 5:
-                pairs.append((u, u + 1, 10))
-            if row + 1 < 4:
-                pairs.append((u, u + 5, 10))
-    pairs.append((6, 10, 14))
-    edges = []
-    for u, v, length in pairs:
-        edges.append(Edge(u, v, length))
-        edges.append(Edge(v, u, length))
-    edges.sort(key=lambda e: (e.source, e.target))
-    return Network(nodes=nodes, edges=tuple(edges))
+    """The standard benchmark grid (4 x 5 nodes, 64 directed edges), parsed
+    from `DEFAULT_NETWORK_FILE` into a new `Network` on every call, so
+    each caller owns its route memo."""
+    return parse_network(DEFAULT_NETWORK_FILE.read_text(encoding="utf-8"))
 
 
 def env_digest(env: TerminalEnv) -> str:

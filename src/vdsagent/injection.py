@@ -23,69 +23,71 @@ from __future__ import annotations
 
 from typing import Any
 
-from .env import ScenarioSpec, TerminalEnv
+from .env import SCENARIO_KINDS, ScenarioSpec, TerminalEnv
 from .errors import ConfigError
-from .instances import generate_instances
+from .instances import fixed_scenario, generate_instances
 from .solver import oracle_solve, solve, bind
 from . import dsl
 
 _FENCE = "```" + dsl.FENCE_TAG + "\n{}\n```"
 
-CORRECT_PROGRAMS = {
-    "road_closure": """\
-model closure_transfer
-objective minimize total_travel_time
-constraints {
-  flow_balance all
-  remove_edge (6, 7)
-  remove_edge (7, 6)
-}""",
-    "forbidden_edge_vehicle": """\
-model forbidden_transfer
-objective minimize total_travel_time
-constraints {
-  flow_balance all
-  forbid_edge vehicle "AGV-4" (5, 6)
-  forbid_edge vehicle "AGV-4" (6, 5)
-}""",
-    "designated_route": """\
-model designated_transfer
-objective minimize total_travel_time
-constraints {
-  flow_balance all
-  require_subpath task "T3" [6, 10, 11]
-}""",
-}
+_MODEL_NAMES = {"road_closure": "closure_transfer",
+                "forbidden_edge_vehicle": "forbidden_transfer",
+                "designated_route": "designated_transfer"}
 
-ONE_WAY_CLOSURE_PROGRAM = """\
-model closure_transfer
-objective minimize total_travel_time
-constraints {
-  flow_balance all
-  remove_edge (6, 7)
-}"""
 
-MODELER_SCHEMES = {
-    "road_closure": (
-        "1. Objective: minimize total travel time over all vehicles.\n"
-        "2. Keep flow balance for every vehicle.\n"
-        "3. The segment between nodes 6 and 7 is closed in both "
-        "directions: remove edges (6,7) and (7,6) for all vehicles."
-    ),
-    "forbidden_edge_vehicle": (
-        "1. Objective: minimize total travel time over all vehicles.\n"
-        "2. Keep flow balance for every vehicle.\n"
-        "3. AGV-4 is over-height: forbid edges (5,6) and (6,5) for "
-        "AGV-4 only; all other vehicles are unaffected."
-    ),
-    "designated_route": (
-        "1. Objective: minimize total travel time over all vehicles.\n"
-        "2. Keep flow balance for every vehicle.\n"
-        "3. The vehicle serving task T3 must traverse 6 -> 10 -> 11 as a "
-        "contiguous subpath of its route; the rest of the route stays "
-        "free."
-    ),
-}
+def _program(name: str, statements: tuple[dsl.Statement, ...]) -> str:
+    """Program text for `statements`, without the trailing newline."""
+    return dsl.render(dsl.ModelAst(name, statements)).rstrip("\n")
+
+
+def correct_program(spec: ScenarioSpec) -> str:
+    """The program that states `spec` exactly: flow balance plus both
+    directions of a closure or ban, or the corridor as a subpath."""
+    if spec.kind == "designated_route":
+        stmts = (dsl.RequireSubpath(dsl.SubjectRef("task", spec.task),
+                                    spec.nodes),)
+    elif spec.kind == "road_closure":
+        u, v = spec.edge
+        stmts = (dsl.RemoveEdge(u, v), dsl.RemoveEdge(v, u))
+    else:
+        u, v = spec.edge
+        who = dsl.SubjectRef("vehicle", spec.vehicle)
+        stmts = (dsl.ForbidEdge(who, u, v), dsl.ForbidEdge(who, v, u))
+    return _program(_MODEL_NAMES[spec.kind], (dsl.FlowBalanceAll(),) + stmts)
+
+
+def modeler_scheme(spec: ScenarioSpec) -> str:
+    """The modeler's three-step scheme for `spec`."""
+    head = ("1. Objective: minimize total travel time over all vehicles.\n"
+            "2. Keep flow balance for every vehicle.\n3. ")
+    if spec.kind == "designated_route":
+        corridor = " -> ".join(str(n) for n in spec.nodes)
+        return head + (f"The vehicle serving task {spec.task} must traverse "
+                       f"{corridor} as a contiguous subpath of its route; "
+                       f"the rest of the route stays free.")
+    u, v = spec.edge
+    if spec.kind == "road_closure":
+        return head + (f"The segment between nodes {u} and {v} is closed in "
+                       f"both directions: remove edges ({u},{v}) and "
+                       f"({v},{u}) for all vehicles.")
+    return head + (f"{spec.vehicle} is over-height: forbid edges ({u},{v}) "
+                   f"and ({v},{u}) for {spec.vehicle} only; all other "
+                   f"vehicles are unaffected.")
+
+
+CORRECT_PROGRAMS = {kind: correct_program(fixed_scenario(kind))
+                    for kind in SCENARIO_KINDS}
+
+MODELER_SCHEMES = {kind: modeler_scheme(fixed_scenario(kind))
+                   for kind in SCENARIO_KINDS}
+
+_CLOSED = fixed_scenario("road_closure").edge
+
+# the closure stated in one direction only
+ONE_WAY_CLOSURE_PROGRAM = _program(
+    _MODEL_NAMES["road_closure"],
+    (dsl.FlowBalanceAll(), dsl.RemoveEdge(*_CLOSED)))
 
 
 def fenced(program: str) -> str:
@@ -96,20 +98,20 @@ def instance_id(kind: str, index: int, level: str) -> str:
     return f"{kind}-{index:02d}-{level}"
 
 
+def _answer(kind: str, program: str) -> dict[str, Any]:
+    """One run's script: the kind's scheme and `program`, no reflection."""
+    return {"modeler": [MODELER_SCHEMES[kind]], "coder": [fenced(program)],
+            "debugger": []}
+
+
 def golden_script() -> dict[str, Any]:
     """Every instance answered correctly on the first attempt."""
-    scenarios = {}
-    for kind, program in CORRECT_PROGRAMS.items():
-        scenarios[kind] = {
-            "modeler": [MODELER_SCHEMES[kind]],
-            "coder": [fenced(program)],
-            "debugger": [],
-        }
-    return {"scenarios": scenarios}
+    return {"scenarios": {kind: _answer(kind, program)
+                          for kind, program in CORRECT_PROGRAMS.items()}}
 
 
 def _one_way_objective_differs(env: TerminalEnv, spec: ScenarioSpec) -> bool:
-    """Does removing only (6,7) change Z versus the full closure?"""
+    """Does closing only one direction change Z versus the full closure?"""
     full = oracle_solve(env, spec).objective
     ast = dsl.parse(ONE_WAY_CLOSURE_PROGRAM)
     one_way = solve(bind(ast, env), env.network, env.fleet.trips).objective
@@ -125,12 +127,11 @@ def _pinned_exact_path(env: TerminalEnv, spec: ScenarioSpec) -> str:
     """
     task = env.fleet.task_by_id(spec.task)
     optimal = oracle_solve(env, spec).paths[task.agv]
-    nodes = spec.nodes
-    # locate the forced segment inside the optimal path
-    k = len(nodes)
-    at = next(i for i in range(len(optimal) - k + 1)
-              if optimal[i:i + k] == nodes)
-    hinge = nodes[-1]
+    k = len(spec.nodes)
+    # where the forced segment ends inside the optimal path
+    end = next(i + k for i in range(len(optimal) - k + 1)
+               if optimal[i:i + k] == spec.nodes)
+    hinge = spec.nodes[-1]
     used = set(zip(optimal, optimal[1:]))
     succ, pred = env.network.adjacency
     back = {e.source for e in pred.get(hinge, ())}
@@ -138,15 +139,10 @@ def _pinned_exact_path(env: TerminalEnv, spec: ScenarioSpec) -> str:
             if v in back and (hinge, v) not in used and (v, hinge) not in used]
     if not free:
         raise ConfigError("no bounce neighbor free at the forced segment")
-    cut = at + k
-    pinned = optimal[:cut] + (free[0], hinge) + optimal[cut:]
-    seq = ", ".join(str(n) for n in pinned)
-    return (f"model designated_transfer\n"
-            f"objective minimize total_travel_time\n"
-            f"constraints {{\n"
-            f"  flow_balance all\n"
-            f"  require_exact_path task \"{spec.task}\" [{seq}]\n"
-            f"}}")
+    pinned = optimal[:end] + (free[0], hinge) + optimal[end:]
+    return _program(_MODEL_NAMES["designated_route"], (
+        dsl.FlowBalanceAll(),
+        dsl.RequireExactPath(dsl.SubjectRef("task", spec.task), pinned)))
 
 
 def fault_injection_script(seed: int = 42,
@@ -168,19 +164,11 @@ def fault_injection_script(seed: int = 42,
         raise ConfigError("need two closure instances where one direction "
                           "matters; got fewer, pick another seed")
     for i in wrong[:2]:
-        overrides[instance_id("road_closure", i, "technician")] = {
-            "modeler": [MODELER_SCHEMES["road_closure"]],
-            "coder": [fenced(ONE_WAY_CLOSURE_PROGRAM)],
-            "debugger": [],
-        }
-    routes = generate_instances(seed, "designated_route",
-                                instances_per_scenario)
-    env0, spec0 = routes[0]
-    overrides[instance_id("designated_route", 0, "engineer")] = {
-        "modeler": [MODELER_SCHEMES["designated_route"]],
-        "coder": [fenced(_pinned_exact_path(env0, spec0))],
-        "debugger": [],
-    }
+        overrides[instance_id("road_closure", i, "technician")] = _answer(
+            "road_closure", ONE_WAY_CLOSURE_PROGRAM)
+    env0, spec0 = generate_instances(seed, "designated_route", 1)[0]
+    overrides[instance_id("designated_route", 0, "engineer")] = _answer(
+        "designated_route", _pinned_exact_path(env0, spec0))
     script["instances"] = overrides
     return script
 
@@ -206,12 +194,9 @@ def recovery_script(kind: str = "road_closure") -> dict[str, Any]:
 
 RAG_MARKER = "## Modeling primitives"
 
-UNGROUNDED_PROGRAM = """\
-model ungrounded_attempt
-objective minimize total_travel_time
-constraints {
-  remove_edge (6, 7)
-}"""
+# the closure without the required flow balance: fails static checks
+UNGROUNDED_PROGRAM = _program("ungrounded_attempt",
+                              (dsl.RemoveEdge(*_CLOSED),))
 
 
 def ablation_script(seed: int = 42) -> dict[str, Any]:
@@ -233,9 +218,8 @@ def ablation_script(seed: int = 42) -> dict[str, Any]:
             "coder": [conditional] * 3,
             "debugger": [RECOVERY_REFLECTION] * 2,
         }
-    overrides = {}
-    for kind in CORRECT_PROGRAMS:
-        overrides[instance_id(kind, 0, "scientist")] = recovery_script(kind)
+    overrides = {instance_id(kind, 0, "scientist"): recovery_script(kind)
+                 for kind in CORRECT_PROGRAMS}
     return {"scenarios": scenarios, "instances": overrides}
 
 

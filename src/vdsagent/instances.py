@@ -1,12 +1,10 @@
 """Deterministic benchmark instance generation.
 
 Each instance is the standard 20-node grid with 30 AGVs, one task per
-AGV, and uniformly sampled OD pairs (origin != destination), under one
-of the three fixed scenarios:
-
-    road_closure          edge (6, 7) closed in both directions
-    forbidden_edge_vehicle AGV-4 barred from (5, 6) in both directions
-    designated_route      task T3 must traverse the subpath 6 -> 10 -> 11
+AGV, and uniformly sampled OD pairs (origin != destination), under the
+fixed scenario of its kind.  `_FIXED_SPECS` is the one place those
+scenarios' parameters are written; the scripted programs and schemes
+in `injection` are derived from it.
 
 Each drawn OD is checked by solving that vehicle alone under the
 `solver.scenario_constraints` record the oracle uses; ODs that make it

@@ -115,10 +115,13 @@ class KnowledgeBase:
     def __init__(self, primitives: Sequence[Primitive] = (),
                  exemplars: Sequence[Exemplar] = (),
                  root: Path | None = None):
-        self._primitives: list[Primitive] = list(primitives)
+        # in prompt order: by category, then id
+        self.primitives: tuple[Primitive, ...] = tuple(sorted(
+            primitives,
+            key=lambda p: (PRIMITIVE_CATEGORIES.index(p.category), p.id)))
         self._exemplars: list[Exemplar] = list(exemplars)
         self.root = root
-        ids = [p.id for p in self._primitives]
+        ids = [p.id for p in self.primitives]
         if len(set(ids)) != len(ids):
             raise ValidationError("duplicate primitive ids")
         self._ids = {e.id for e in self._exemplars}
@@ -127,16 +130,12 @@ class KnowledgeBase:
         self._index: Index | None = None  # built by the first retrieval
 
     @property
-    def primitives(self) -> tuple[Primitive, ...]:
-        return tuple(self._primitives)
-
-    @property
     def exemplars(self) -> tuple[Exemplar, ...]:
         return tuple(self._exemplars)
 
     def snapshot(self) -> "KnowledgeBase":
         """Detached copy; later accumulation does not touch it."""
-        return KnowledgeBase(self._primitives, self._exemplars, root=None)
+        return KnowledgeBase(self.primitives, self._exemplars, root=None)
 
     def append_exemplar(self, ex: Exemplar) -> None:
         """Validate, persist (when the base has a root), then publish: a
@@ -323,9 +322,7 @@ def retrieve(kb: KnowledgeBase, terms: Collection[str],
         raise TypeError("retrieve takes terms: pass tokenize(text)")
     if k < 0:
         raise ValueError("k must be non-negative")
-    primitives = tuple(sorted(
-        kb.primitives,
-        key=lambda p: (PRIMITIVE_CATEGORIES.index(p.category), p.id)))
+    primitives = kb.primitives
     if k == 0:
         return RetrievedContext(primitives=primitives, exemplars=(), scores=())
     index = kb.index

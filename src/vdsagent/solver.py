@@ -110,8 +110,8 @@ class RoadGraph:
 class SolveError(VdsAgentError):
     """A bind or solve failure, classified by `kind`.
 
-    Kinds: bind_unknown_node, bind_unknown_vehicle, bind_conflict,
-    infeasible, timeout, degenerate_edge_reuse.
+    Kinds: bind_unknown_node, bind_unknown_edge, bind_unknown_vehicle,
+    bind_conflict, infeasible, timeout, degenerate_edge_reuse.
     """
 
     def __init__(self, kind: str, detail: str):
@@ -339,6 +339,15 @@ def _check_nodes(nodes: Iterable[int], known: frozenset[int]) -> None:
                              f"statement references unknown node {node}")
 
 
+def _check_link(source: int, target: int, known: frozenset[int],
+                succ: Links) -> None:
+    """Both nodes are known and the network has the link source -> target."""
+    _check_nodes((source, target), known)
+    if not any(e.target == target for e in succ.get(source, ())):
+        raise SolveError("bind_unknown_edge", f"statement references "
+                         f"unknown edge ({source}, {target})")
+
+
 def bind(ast: dsl.ModelAst, env: TerminalEnv) -> Constraints:
     """Ground a checked program against an environment.
 
@@ -347,6 +356,7 @@ def bind(ast: dsl.ModelAst, env: TerminalEnv) -> Constraints:
     requirement on a vehicle without a task is a bind_conflict.
     """
     known = env.network.node_ids()
+    succ = env.network.adjacency[0]
     removed: set[tuple[int, int]] = set()
     removed_for: dict[str, set[tuple[int, int]]] = {}
     required: dict[str, PathRequirement] = {}
@@ -355,10 +365,10 @@ def bind(ast: dsl.ModelAst, env: TerminalEnv) -> Constraints:
         if isinstance(stmt, dsl.FlowBalanceAll):
             continue
         if isinstance(stmt, dsl.RemoveEdge):
-            _check_nodes((stmt.source, stmt.target), known)
+            _check_link(stmt.source, stmt.target, known, succ)
             removed.add((stmt.source, stmt.target))
         elif isinstance(stmt, dsl.ForbidEdge):
-            _check_nodes((stmt.source, stmt.target), known)
+            _check_link(stmt.source, stmt.target, known, succ)
             vehicle = _resolve_subject(stmt.subject, env)
             removed_for.setdefault(vehicle, set()).add(
                 (stmt.source, stmt.target))

@@ -353,6 +353,9 @@ class TestKb:
         assert main(["kb", "list"]) == 0
         stdout = capsys.readouterr().out
         assert "primitive route-variables [variable_definition]" in stdout
+        # listed in prompt order: by category, then id
+        assert stdout.index("primitive edge-restrictions") < \
+            stdout.index("primitive flow-balance")
         assert "exemplar classic-dispatch:" in stdout
         assert "total: 5 primitives, 1 exemplars" in stdout
 

@@ -274,7 +274,6 @@ class TestDigest:
             *(path.read_text(encoding="utf-8") for path in (
                 DEFAULT_NETWORK_FILE, DEFAULT_CONFIG_FILE,
                 DEFAULT_REQUIREMENTS_FILE)))
-        assert env.network == default_network()
         assert env_digest(env) == helpers.rendered_env_digest(env)
 
     @pytest.mark.parametrize("seed", [1, 3, 11, 42])

@@ -378,9 +378,12 @@ class TestRetrieve:
         assert len(ctx.primitives) == 4
 
     def test_primitives_ordered_by_category_then_id(self):
-        ctx = kn.retrieve(self.base(), kn.tokenize("anything"), 1)
+        kb = self.base()
+        ctx = kn.retrieve(kb, kn.tokenize("anything"), 1)
         assert [p.id for p in ctx.primitives] == \
             ["vars", "balance", "bans", "obj"]
+        # the base holds them in that order once; retrieval sorts nothing
+        assert ctx.primitives is kb.primitives
 
     def test_top_k_ranking(self):
         ctx = kn.retrieve(

@@ -15,7 +15,6 @@ from vdsagent.env import (SCENARIO_KINDS, Agv, FleetConfig, Network, Node, Edge,
                           Requirements, ScenarioSpec, Task, TerminalEnv,
                           default_network)
 from vdsagent.errors import ConfigError
-from vdsagent.injection import CORRECT_PROGRAMS
 from vdsagent.instances import fixed_scenario, generate_instances
 from vdsagent.knowledge import load_seed_kb
 
@@ -737,6 +736,16 @@ class TestBind:
             bound("  remove_edge (0, 99)", env)
         assert exc.value.kind == "bind_unknown_node"
 
+    @pytest.mark.parametrize("body", (
+        "  remove_edge (0, 6)", '  forbid_edge vehicle "A" (0, 12)',
+        '  forbid_edge task "T1" (12, 0)'))
+    def test_unknown_edge(self, body):
+        # known nodes, no such link: binding it would be a silent no-op
+        env = grid_env([("A", "T1", 0, 1)])
+        with pytest.raises(sv.SolveError) as exc:
+            bound(body, env)
+        assert exc.value.kind == "bind_unknown_edge"
+
     def test_aliased_requirements_conflict(self):
         # vehicle subject and task subject naming the same AGV collide
         env = grid_env([("A", "T1", 0, 14)])
@@ -868,13 +877,23 @@ class TestConstraints:
     @pytest.mark.parametrize("kind", SCENARIO_KINDS)
     @pytest.mark.parametrize("seed", (3, 42))
     def test_bind_and_scenario_constraints_agree(self, kind, seed):
-        ast = dsl.parse(CORRECT_PROGRAMS[kind])
-        for env, spec in generate_instances(seed, kind, 6):
-            tasks = {t.id: t.agv for t in env.fleet.tasks}
-            expected = sv.scenario_constraints(spec, tasks)
-            bound_record = sv.bind(ast, env)
-            assert routed_on(bound_record, env) == routed_on(expected, env)
-            assert solved(bound_record, env) == solved(expected, env)
+        """`correct_program(spec)` binds to `scenario_constraints(spec)`,
+        for the fixed spec and for one no generated fleet was drawn for."""
+        other = {"road_closure": ScenarioSpec("road_closure", edge=(2, 7)),
+                 "forbidden_edge_vehicle": ScenarioSpec(
+                     "forbidden_edge_vehicle", vehicle="AGV-9",
+                     edge=(11, 12)),
+                 "designated_route": ScenarioSpec(
+                     "designated_route", task="T5", nodes=(1, 6, 7))}[kind]
+        for spec in (fixed_scenario(kind), other):
+            ast = dsl.parse(inj.correct_program(spec))
+            for env, _ in generate_instances(seed, kind, 6):
+                tasks = {t.id: t.agv for t in env.fleet.tasks}
+                expected = sv.scenario_constraints(spec, tasks)
+                bound_record = sv.bind(ast, env)
+                assert routed_on(bound_record, env) == \
+                    routed_on(expected, env)
+                assert solved(bound_record, env) == solved(expected, env)
 
     def test_scenario_closures_cover_both_directions(self):
         closure = sv.scenario_constraints(
