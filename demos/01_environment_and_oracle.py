@@ -15,7 +15,7 @@ from vdsagent.solver import oracle_solve
 # The grid is 4 rows x 5 columns: straight segments cost 10, plus one
 # diagonal shortcut pair between nodes 6 and 10.
 network = default_network()
-print(f"nodes: {len(network.node_ids())}, "
+print(f"nodes: {len(network.node_ids)}, "
       f"directed edges: {len(network.lengths())}")
 
 # The packaged environment ships as three JSON files: network, fleet,

@@ -119,13 +119,17 @@ class Network:
                 raise SchemaError(f"duplicate directed edge ({e.source}, {e.target})")
             seen.add(key)
 
+    @cached_property
     def node_ids(self) -> frozenset[int]:
         """This network's node ids, one frozenset per network."""
-        return self._node_ids
-
-    @cached_property
-    def _node_ids(self) -> frozenset[int]:
         return frozenset(n.id for n in self.nodes)
+
+    def length(self, u: int, v: int) -> float | None:
+        """Link (u, v)'s length, or None: one scan of u's `adjacency` out-links."""
+        for link in self.adjacency[0].get(u, ()):
+            if link.target == v:
+                return link.length
+        return None
 
     def lengths(self) -> dict[tuple[int, int], float]:
         """Directed edge -> length mapping."""
@@ -210,11 +214,10 @@ class FleetConfig:
                 raise SchemaError(f"agv {t.agv} carries more than one task")
             assigned.add(t.agv)
 
-    def task_by_id(self, task_id: str) -> Task | None:
-        for t in self.tasks:
-            if t.id == task_id:
-                return t
-        return None
+    @cached_property
+    def task_vehicle(self) -> Mapping[str, str]:
+        """Each task's id -> the id of the AGV that carries it."""
+        return {t.id: t.agv for t in self.tasks}
 
     @cached_property
     def trips(self) -> Trips:
@@ -261,7 +264,7 @@ class TerminalEnv:
     requirements: Requirements
 
     def __post_init__(self) -> None:
-        known = self.network.node_ids()
+        known = self.network.node_ids
         for t in self.fleet.tasks:
             for node in (t.origin, t.destination):
                 if node not in known:
@@ -305,16 +308,20 @@ class ScenarioSpec:
                 )
 
     def validate_against(self, env: TerminalEnv) -> None:
-        known = env.network.node_ids()
-        for node in (self.edge or ()) + (self.nodes or ()):
-            if node not in known:
-                raise CrossReferenceError(f"scenario references unknown node {node}")
-        if self.vehicle is not None:
-            if self.vehicle not in {a.id for a in env.fleet.agvs}:
+        """Raise `CrossReferenceError` unless `env` has every vehicle, task
+        and link this scenario names: the links `solver.scenario_constraints`
+        states, `edge` and its reverse for a closure or ban and each
+        consecutive pair of `nodes` for a corridor."""
+        links = (zip(self.nodes, self.nodes[1:]) if self.kind == "designated_route"
+                 else (self.edge, self.edge[::-1]))
+        for u, v in links:
+            if env.network.length(u, v) is None:
                 raise CrossReferenceError(
-                    f"scenario references unknown vehicle {self.vehicle}"
-                )
-        if self.task is not None and env.fleet.task_by_id(self.task) is None:
+                    f"scenario references unknown link ({u}, {v})")
+        if self.vehicle is not None and self.vehicle not in env.fleet.trips:
+            raise CrossReferenceError(
+                f"scenario references unknown vehicle {self.vehicle}")
+        if self.task is not None and self.task not in env.fleet.task_vehicle:
             raise CrossReferenceError(f"scenario references unknown task {self.task}")
 
     @classmethod

@@ -125,18 +125,17 @@ def _pinned_exact_path(env: TerminalEnv, spec: ScenarioSpec) -> str:
     right after the forced segment, so the program binds (endpoints
     still match the OD), executes, and lands strictly above the optimum.
     """
-    task = env.fleet.task_by_id(spec.task)
-    optimal = oracle_solve(env, spec).paths[task.agv]
+    optimal = oracle_solve(env, spec).paths[env.fleet.task_vehicle[spec.task]]
     k = len(spec.nodes)
     # where the forced segment ends inside the optimal path
     end = next(i + k for i in range(len(optimal) - k + 1)
                if optimal[i:i + k] == spec.nodes)
     hinge = spec.nodes[-1]
     used = set(zip(optimal, optimal[1:]))
-    succ, pred = env.network.adjacency
-    back = {e.source for e in pred.get(hinge, ())}
-    free = [v for v in (e.target for e in succ.get(hinge, ()))
-            if v in back and (hinge, v) not in used and (v, hinge) not in used]
+    network = env.network
+    free = [v for v in (e.target for e in network.adjacency[0].get(hinge, ()))
+            if network.length(v, hinge) is not None
+            and (hinge, v) not in used and (v, hinge) not in used]
     if not free:
         raise ConfigError("no bounce neighbor free at the forced segment")
     pinned = optimal[:end] + (free[0], hinge) + optimal[end:]

@@ -48,7 +48,7 @@ def generate_instances(seed: int, kind: str,
         raise ValueError("count must be >= 1")
     spec = fixed_scenario(kind)
     network = default_network()
-    node_ids = sorted(network.node_ids())
+    node_ids = sorted(network.node_ids)
     constraints = scenario_constraints(
         spec, {f"T{k}": f"AGV-{k}" for k in range(1, FLEET_SIZE + 1)})
     instances = []

@@ -60,10 +60,11 @@ class RoadGraph:
     (`Network.cuts`), and every view `without` derives shares all three,
     so a vehicle's graph costs only the links it loses, filtered once per
     distinct removed-link set.  There is no length dict: `length(u, v)`
-    scans u's successor tuple.
+    is `Network.length` for a link the view has not removed.
     """
 
     def __init__(self, network: Network):
+        self._network = network
         self._succ, self._pred = network.adjacency
         self._routes = network.routes
         self._cuts = network.cuts
@@ -74,11 +75,7 @@ class RoadGraph:
 
     def length(self, u: int, v: int) -> float | None:
         """The length of link (u, v), or None when the view lacks it."""
-        if (u, v) not in self.removed:
-            for link in self._succ.get(u, ()):
-                if link.target == v:
-                    return link.length
-        return None
+        return None if (u, v) in self.removed else self._network.length(u, v)
 
     def without(self, edges: Iterable[tuple[int, int]]) -> RoadGraph:
         """A view that also lacks `edges`; links not in it are ignored.
@@ -325,11 +322,11 @@ def _resolve_subject(subject: dsl.SubjectRef, env: TerminalEnv) -> str:
             raise SolveError("bind_unknown_vehicle",
                              f"unknown vehicle {subject.ident}")
         return subject.ident
-    task = env.fleet.task_by_id(subject.ident)
-    if task is None:
+    vehicle = env.fleet.task_vehicle.get(subject.ident)
+    if vehicle is None:
         raise SolveError("bind_unknown_vehicle",
                          f"unknown task {subject.ident}")
-    return task.agv
+    return vehicle
 
 
 def _check_nodes(nodes: Iterable[int], known: frozenset[int]) -> None:
@@ -339,11 +336,10 @@ def _check_nodes(nodes: Iterable[int], known: frozenset[int]) -> None:
                              f"statement references unknown node {node}")
 
 
-def _check_link(source: int, target: int, known: frozenset[int],
-                succ: Links) -> None:
+def _check_link(source: int, target: int, network: Network) -> None:
     """Both nodes are known and the network has the link source -> target."""
-    _check_nodes((source, target), known)
-    if not any(e.target == target for e in succ.get(source, ())):
+    _check_nodes((source, target), network.node_ids)
+    if network.length(source, target) is None:
         raise SolveError("bind_unknown_edge", f"statement references "
                          f"unknown edge ({source}, {target})")
 
@@ -355,8 +351,6 @@ def bind(ast: dsl.ModelAst, env: TerminalEnv) -> Constraints:
     to one `Constraints` record, returned for `solve`.  A path
     requirement on a vehicle without a task is a bind_conflict.
     """
-    known = env.network.node_ids()
-    succ = env.network.adjacency[0]
     removed: set[tuple[int, int]] = set()
     removed_for: dict[str, set[tuple[int, int]]] = {}
     required: dict[str, PathRequirement] = {}
@@ -365,15 +359,15 @@ def bind(ast: dsl.ModelAst, env: TerminalEnv) -> Constraints:
         if isinstance(stmt, dsl.FlowBalanceAll):
             continue
         if isinstance(stmt, dsl.RemoveEdge):
-            _check_link(stmt.source, stmt.target, known, succ)
+            _check_link(stmt.source, stmt.target, env.network)
             removed.add((stmt.source, stmt.target))
         elif isinstance(stmt, dsl.ForbidEdge):
-            _check_link(stmt.source, stmt.target, known, succ)
+            _check_link(stmt.source, stmt.target, env.network)
             vehicle = _resolve_subject(stmt.subject, env)
             removed_for.setdefault(vehicle, set()).add(
                 (stmt.source, stmt.target))
         else:
-            _check_nodes(stmt.nodes, known)
+            _check_nodes(stmt.nodes, env.network.node_ids)
             vehicle = _resolve_subject(stmt.subject, env)
             if vehicle in required:
                 raise SolveError(
@@ -421,6 +415,5 @@ def oracle_solve(env: TerminalEnv, spec: ScenarioSpec | None,
     constraints = Constraints()
     if spec is not None:
         spec.validate_against(env)
-        constraints = scenario_constraints(
-            spec, {t.id: t.agv for t in env.fleet.tasks})
+        constraints = scenario_constraints(spec, env.fleet.task_vehicle)
     return solve(constraints, env.network, env.fleet.trips, time_limit)

@@ -319,13 +319,21 @@ class TestOracle:
         assert main(["oracle", "--net", str(net)]) == 2
         assert "network.edges[0].length" in capsys.readouterr().err
 
-    def test_scenario_unknown_node(self, tmp_path, capsys):
+    @pytest.mark.parametrize("params, named", (
+        ({"kind": "road_closure", "params": {"edge": [6, 99]}}, "99"),
+        # known nodes, no link between them
+        ({"kind": "road_closure", "params": {"edge": [0, 6]}}, "(0, 6)"),
+        ({"kind": "forbidden_edge_vehicle",
+          "params": {"vehicle": "AGV-1", "edge": [0, 6]}}, "(0, 6)"),
+        ({"kind": "designated_route",
+          "params": {"task": "T1", "nodes": [0, 6, 7]}}, "(0, 6)"),
+    ), ids=("node", "closure", "ban", "corridor"))
+    def test_scenario_unknown_node(self, tmp_path, capsys, params, named):
         scenario = tmp_path / "scenario.json"
-        scenario.write_text(json.dumps(
-            {"kind": "road_closure", "params": {"edge": [6, 99]}}))
+        scenario.write_text(json.dumps(params))
         code = main(["oracle", "--scenario", str(scenario)])
         assert code == 2
-        assert "99" in capsys.readouterr().err
+        assert named in capsys.readouterr().err
 
     def test_scenario_vehicle_not_string(self, tmp_path, capsys):
         scenario = tmp_path / "scenario.json"

@@ -70,13 +70,15 @@ class TestNetwork:
         net = Network(nodes=(Node(0), Node(1)),
                       edges=(Edge(0, 1, 1), Edge(1, 0, 5)))
         assert net.lengths() == {(0, 1): 1, (1, 0): 5}
+        assert (net.length(0, 1), net.length(1, 0), net.length(0, 2)) == \
+            (1, 5, None)
 
     def test_node_ids_built_once_per_network(self):
         net = triangle()
-        ids = net.node_ids()
+        ids = net.node_ids
         assert ids == frozenset({0, 1, 2})
-        assert net.node_ids() is ids
-        assert triangle().node_ids() is not ids
+        assert net.node_ids is ids
+        assert triangle().node_ids is not ids
 
 
 class TestFleet:
@@ -97,8 +99,8 @@ class TestFleet:
     def test_lookups(self):
         fleet = FleetConfig(agvs=(Agv("A"), Agv("B")),
                             tasks=(Task("T1", "A", 0, 1),))
-        assert fleet.task_by_id("T1").agv == "A"
-        assert fleet.task_by_id("T9") is None
+        assert fleet.task_vehicle["T1"] == "A"
+        assert "T9" not in fleet.task_vehicle
 
     def test_trips_in_fleet_order(self):
         # tasks listed in another order than their vehicles; B has none
@@ -179,6 +181,14 @@ class TestScenarioSpec:
         with pytest.raises(CrossReferenceError):
             ScenarioSpec("designated_route", task="T99",
                          nodes=(6, 10, 11)).validate_against(env)
+        # known nodes, no link between them
+        for spec in (ScenarioSpec("road_closure", edge=(0, 6)),
+                     ScenarioSpec("forbidden_edge_vehicle", vehicle="AGV-1",
+                                  edge=(0, 6)),
+                     ScenarioSpec("designated_route", task="T1",
+                                  nodes=(0, 6, 7))):
+            with pytest.raises(CrossReferenceError, match=r"\(0, 6\)"):
+                spec.validate_against(env)
 
 
 class TestParsing:

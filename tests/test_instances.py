@@ -37,7 +37,7 @@ class TestShape:
         env, spec = gen.generate_instances(11, kind, 1)[0]
         assert len(env.fleet.agvs) == gen.FLEET_SIZE
         assert len(env.fleet.tasks) == gen.FLEET_SIZE
-        node_ids = env.network.node_ids()
+        node_ids = env.network.node_ids
         for task in env.fleet.tasks:
             assert task.origin != task.destination
             assert task.origin in node_ids
@@ -63,8 +63,9 @@ class TestShape:
         assert "over_height" not in agvs["AGV-5"].attributes
 
         env, _ = gen.generate_instances(11, "designated_route", 1)[0]
-        assert env.fleet.task_by_id("T3").attributes["dangerous_goods"] is True
-        assert "dangerous_goods" not in env.fleet.task_by_id("T4").attributes
+        tasks = {t.id: t for t in env.fleet.tasks}
+        assert tasks["T3"].attributes["dangerous_goods"] is True
+        assert "dangerous_goods" not in tasks["T4"].attributes
 
     def test_requirements_default_level(self):
         env, spec = gen.generate_instances(11, "road_closure", 1)[0]

@@ -14,7 +14,7 @@ from vdsagent import solver as sv
 from vdsagent.env import (SCENARIO_KINDS, Agv, FleetConfig, Network, Node, Edge,
                           Requirements, ScenarioSpec, Task, TerminalEnv,
                           default_network)
-from vdsagent.errors import ConfigError
+from vdsagent.errors import ConfigError, CrossReferenceError
 from vdsagent.instances import fixed_scenario, generate_instances
 from vdsagent.knowledge import load_seed_kb
 
@@ -863,6 +863,15 @@ class TestOracleSolve:
             assert solution.objective == sum(solution.costs.values())
 
 
+def rejects(call, error):
+    """Does `call()` raise `error`?"""
+    try:
+        call()
+    except error:
+        return True
+    return False
+
+
 def routed_on(constraints, env):
     """Per vehicle in fleet order: its OD pair, the links its view lacks
     and its path requirement, as `solve` would route it."""
@@ -894,6 +903,35 @@ class TestConstraints:
                 assert routed_on(bound_record, env) == \
                     routed_on(expected, env)
                 assert solved(bound_record, env) == solved(expected, env)
+
+    def test_scenario_check_agrees_with_bind(self):
+        """On random networks with one-way links, `validate_against`
+        rejects a closure or ban exactly when `bind` rejects the program
+        that states it, over known and unknown nodes and vehicles."""
+        rng = random.Random(5)
+        seen = set()
+        for _ in range(300):
+            ids, lengths, network = random_digraph(rng)
+            env = env_for(network, [("A", "T1", ids[0], ids[1]),
+                                    ("B", "T2", ids[1], ids[0])])
+            nodes = [n.id for n in network.nodes] + [0, 1]  # 0, 1 unknown
+            for _ in range(8):
+                if lengths and rng.random() < 0.5:
+                    edge = rng.choice(list(lengths))
+                else:
+                    edge = (rng.choice(nodes), rng.choice(nodes))
+                vehicle = rng.choice(("A", "B", "Z"))
+                spec = rng.choice((
+                    ScenarioSpec("road_closure", edge=edge),
+                    ScenarioSpec("forbidden_edge_vehicle", vehicle=vehicle,
+                                 edge=edge)))
+                ast = dsl.parse(inj.correct_program(spec))
+                checked = rejects(lambda: spec.validate_against(env),
+                                  CrossReferenceError)
+                assert checked == rejects(lambda: sv.bind(ast, env),
+                                          sv.SolveError), spec
+                seen.add(checked)
+        assert seen == {True, False}
 
     def test_scenario_closures_cover_both_directions(self):
         closure = sv.scenario_constraints(
