@@ -199,8 +199,6 @@ def cmd_kb(args: argparse.Namespace) -> int:
               f"{len(kb.exemplars)} exemplars")
         return 0
     # add
-    if args.kb is None:
-        raise ConfigError("kb add requires --kb <directory>")
     kb = _load_kb(args.kb)
     data = _read_json(args.exemplar, "exemplar")
     ex = Exemplar(

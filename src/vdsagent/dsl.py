@@ -4,13 +4,17 @@ Programs name a model, fix the objective, and list constraint statements;
 see GRAMMAR below.  Comments run from '#' to end of line.  `remove_edge`
 and `forbid_edge` are directional: a bidirectional closure takes two
 statements.
+
+One regex pass turns the text into (kind, text, offset) tuples; the
+offset is the token's index in the text.  No token carries a line or
+column: a DslError works them out from the offset when it is raised.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Iterator, Union
+from typing import ClassVar, Union
 
 from .errors import VdsAgentError
 
@@ -100,7 +104,8 @@ class ForbidEdge:
 
 
 @dataclass(frozen=True)
-class RequireSubpath:
+class _PathStatement:
+    keyword: ClassVar[str]
     subject: SubjectRef
     nodes: tuple[int, ...]
 
@@ -109,20 +114,17 @@ class RequireSubpath:
 
     def render(self) -> str:
         seq = ", ".join(str(n) for n in self.nodes)
-        return f"require_subpath {self.subject.render()} [{seq}]"
+        return f"{self.keyword} {self.subject.render()} [{seq}]"
 
 
 @dataclass(frozen=True)
-class RequireExactPath:
-    subject: SubjectRef
-    nodes: tuple[int, ...]
+class RequireSubpath(_PathStatement):
+    keyword = "require_subpath"
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "nodes", tuple(self.nodes))
 
-    def render(self) -> str:
-        seq = ", ".join(str(n) for n in self.nodes)
-        return f"require_exact_path {self.subject.render()} [{seq}]"
+@dataclass(frozen=True)
+class RequireExactPath(_PathStatement):
+    keyword = "require_exact_path"
 
 
 Statement = Union[FlowBalanceAll, RemoveEdge, ForbidEdge,
@@ -141,173 +143,123 @@ class ModelAst:
         object.__setattr__(self, "statements", tuple(self.statements))
 
 
-@dataclass(frozen=True)
-class _Token:
-    type: str  # "ident" | "int" | "string" | "punct" | "eof"
-    value: str
-    line: int
-    column: int
-
-
 _TOKEN_RE = re.compile(
-    r"""(?P<ws>[ \t\r\n]+)
-      | (?P<comment>\#[^\n]*)
+    r"""[ \t\r\n]+
+      | \#[^\n]*
       | (?P<int>\d+)
       | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-      | (?P<string>"[^"\n]*")
+      | "(?P<string>[^"\n]*)"
       | (?P<punct>[()\[\]{},])
+      | (?P<bad>.)
     """,
-    re.VERBOSE,
+    re.VERBOSE | re.DOTALL,
 )
 
+_PATH_KEYWORDS = {cls.keyword: cls for cls in PATH_STATEMENTS}
 
-def _tokenize(text: str) -> Iterator[_Token]:
-    pos = 0
-    line = 1
-    col = 1
-    n = len(text)
-    while pos < n:
-        match = _TOKEN_RE.match(text, pos)
-        if match is None:
-            raise DslError("parse", f"unexpected character {text[pos]!r}", line, col)
-        kind = match.lastgroup
-        value = match.group()
-        if kind not in ("ws", "comment"):
-            if kind == "string":
-                yield _Token("string", value[1:-1], line, col)
-            else:
-                yield _Token(kind, value, line, col)
-        newlines = value.count("\n")
-        if newlines:
-            line += newlines
-            col = len(value) - value.rfind("\n")
-        else:
-            col += len(value)
-        pos = match.end()
-    yield _Token("eof", "", line, col)
+
+def _parse_error(text: str, offset: int, message: str) -> DslError:
+    return DslError("parse", message, text.count("\n", 0, offset) + 1,
+                    offset - text.rfind("\n", 0, offset))
 
 
 class _Parser:
     def __init__(self, text: str):
-        self.tokens = list(_tokenize(text))
+        self.text = text
+        self.tokens: list[tuple[str, str, int]] = []  # kind, text, offset
+        for match in _TOKEN_RE.finditer(text):
+            kind = match.lastgroup
+            if kind == "bad":
+                raise _parse_error(text, match.start(),
+                                   f"unexpected character {match[kind]!r}")
+            if kind:
+                self.tokens.append((kind, match[kind], match.start()))
+        self.tokens.append(("eof", "", len(text)))
         self.pos = 0
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def next(self) -> _Token:
+    def next(self) -> tuple[str, str, int]:
         tok = self.tokens[self.pos]
         self.pos += 1
         return tok
 
-    def fail(self, message: str, tok: _Token | None = None) -> DslError:
-        tok = tok or self.peek()
-        shown = tok.value if tok.type != "eof" else "end of input"
-        return DslError("parse", f"{message}, got {shown!r}" if tok.type != "eof"
-                        else f"{message}, got end of input", tok.line, tok.column)
+    def fail(self, message: str, tok: tuple[str, str, int]) -> DslError:
+        kind, value, offset = tok
+        shown = "end of input" if kind == "eof" else repr(value)
+        return _parse_error(self.text, offset, f"{message}, got {shown}")
 
-    def expect_keyword(self, word: str) -> _Token:
+    def expect(self, kind: str, value: str | None = None,
+               message: str | None = None) -> str:
         tok = self.next()
-        if tok.type != "ident" or tok.value != word:
-            raise self.fail(f"expected '{word}'", tok)
-        return tok
-
-    def expect_punct(self, char: str) -> _Token:
-        tok = self.next()
-        if tok.type != "punct" or tok.value != char:
-            raise self.fail(f"expected '{char}'", tok)
-        return tok
+        if tok[0] != kind or value is not None and tok[1] != value:
+            raise self.fail(message or f"expected '{value}'", tok)
+        return tok[1]
 
     def expect_int(self) -> int:
-        tok = self.next()
-        if tok.type != "int":
+        kind, digits, offset = tok = self.next()
+        if kind != "int":
             raise self.fail("expected an integer", tok)
-        if len(tok.value) > MAX_INT_DIGITS:
-            raise DslError("parse", f"integer literal of {len(tok.value)} "
-                           f"digits is too long", tok.line, tok.column)
-        return int(tok.value)
-
-    def expect_string(self) -> str:
-        tok = self.next()
-        if tok.type != "string":
-            raise self.fail("expected a quoted identifier", tok)
-        return tok.value
+        if len(digits) > MAX_INT_DIGITS:
+            raise _parse_error(self.text, offset, f"integer literal of "
+                               f"{len(digits)} digits is too long")
+        return int(digits)
 
     def parse_program(self) -> ModelAst:
-        self.expect_keyword("model")
-        name_tok = self.next()
-        if name_tok.type != "ident":
-            raise self.fail("expected a model name", name_tok)
-        self.expect_keyword("objective")
-        self.expect_keyword("minimize")
-        obj_tok = self.next()
-        if obj_tok.type != "ident" or obj_tok.value != OBJECTIVE:
-            raise self.fail(f"expected '{OBJECTIVE}'", obj_tok)
-        self.expect_keyword("constraints")
-        self.expect_punct("{")
+        self.expect("ident", "model")
+        name = self.expect("ident", None, "expected a model name")
+        self.expect("ident", "objective")
+        self.expect("ident", "minimize")
+        self.expect("ident", OBJECTIVE)
+        self.expect("ident", "constraints")
+        self.expect("punct", "{")
         statements: list[Statement] = []
-        while True:
-            tok = self.peek()
-            if tok.type == "punct" and tok.value == "}":
-                self.next()
-                break
-            if tok.type == "eof":
+        while (tok := self.tokens[self.pos])[:2] != ("punct", "}"):
+            if tok[0] == "eof":
                 raise self.fail("expected a statement or '}'", tok)
             statements.append(self.parse_statement())
-        tail = self.next()
-        if tail.type != "eof":
-            raise self.fail("expected end of input", tail)
-        return ModelAst(name=name_tok.value, statements=tuple(statements))
+        self.pos += 1
+        self.expect("eof", None, "expected end of input")
+        return ModelAst(name=name, statements=tuple(statements))
 
     def parse_statement(self) -> Statement:
-        tok = self.next()
-        if tok.type != "ident":
-            raise self.fail("expected a statement keyword", tok)
-        if tok.value == "flow_balance":
-            self.expect_keyword("all")
-            return FlowBalanceAll()
-        if tok.value == "remove_edge":
-            source, target = self.parse_edge_pair()
-            return RemoveEdge(source, target)
-        if tok.value == "forbid_edge":
-            subject = self.parse_subject()
-            source, target = self.parse_edge_pair()
-            return ForbidEdge(subject, source, target)
-        if tok.value == "require_subpath":
-            subject = self.parse_subject()
-            return RequireSubpath(subject, self.parse_node_list())
-        if tok.value == "require_exact_path":
-            subject = self.parse_subject()
-            return RequireExactPath(subject, self.parse_node_list())
+        kind, word, _ = tok = self.next()
+        if kind == "ident":
+            if word == "flow_balance":
+                self.expect("ident", "all")
+                return FlowBalanceAll()
+            if word == "remove_edge":
+                return RemoveEdge(*self.parse_edge_pair())
+            if word == "forbid_edge":
+                return ForbidEdge(self.parse_subject(), *self.parse_edge_pair())
+            if word in _PATH_KEYWORDS:
+                return _PATH_KEYWORDS[word](self.parse_subject(),
+                                            self.parse_node_list())
         raise self.fail("expected a statement keyword", tok)
 
     def parse_subject(self) -> SubjectRef:
         tok = self.next()
-        if tok.type != "ident" or tok.value not in ("vehicle", "task"):
+        if tok[0] != "ident" or tok[1] not in ("vehicle", "task"):
             raise self.fail("expected 'vehicle' or 'task'", tok)
-        return SubjectRef(kind=tok.value, ident=self.expect_string())
+        return SubjectRef(kind=tok[1], ident=self.expect(
+            "string", None, "expected a quoted identifier"))
 
     def parse_edge_pair(self) -> tuple[int, int]:
-        self.expect_punct("(")
+        self.expect("punct", "(")
         source = self.expect_int()
-        self.expect_punct(",")
+        self.expect("punct", ",")
         target = self.expect_int()
-        self.expect_punct(")")
+        self.expect("punct", ")")
         return source, target
 
     def parse_node_list(self) -> tuple[int, ...]:
-        self.expect_punct("[")
+        self.expect("punct", "[")
         nodes = [self.expect_int()]
-        self.expect_punct(",")
+        self.expect("punct", ",")
         nodes.append(self.expect_int())
-        while True:
-            tok = self.peek()
-            if tok.type == "punct" and tok.value == ",":
-                self.next()
-                nodes.append(self.expect_int())
-            else:
-                self.expect_punct("]")
-                return tuple(nodes)
+        while self.tokens[self.pos][:2] == ("punct", ","):
+            self.pos += 1
+            nodes.append(self.expect_int())
+        self.expect("punct", "]")
+        return tuple(nodes)
 
 
 def parse(text: str) -> ModelAst:

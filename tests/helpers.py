@@ -7,7 +7,10 @@ these functions can serve as ground truth for exactness tests.
 reference for graphs too large to enumerate; `list_count_bm25` is the
 retriever's earlier scorer, which re-counts every term in each token
 list.  `rendered_env_digest` and `regex_tokenize` are the earlier digest
-renderer and tokenizer.
+renderer and tokenizer.  `reference_parse` is the earlier program parser,
+which builds a `_Token` per token and tracks line and column as it goes;
+it returns `dsl`'s AST classes and raises `dsl.DslError`, and
+`parse_outcome` turns either parser's result or error into one value.
 `fraction_exact_p` is the exact r x c test computed with multivariate
 hypergeometric probabilities as Fractions, over tables filled cell by
 cell.  `network_from` turns a link -> length dict into the `Network`
@@ -22,8 +25,9 @@ import math
 import random
 import re
 import string
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 from vdsagent import dsl
 from vdsagent.env import Edge, Network, Node, TerminalEnv
@@ -264,6 +268,189 @@ def rendered_env_digest(env: TerminalEnv) -> str:
 def regex_tokenize(text: str) -> list[str]:
     """Retrieval tokens as a regex finds them."""
     return re.findall(r"[a-z0-9]+", text.lower())
+
+
+@dataclass(frozen=True)
+class _Token:
+    type: str  # "ident" | "int" | "string" | "punct" | "eof"
+    value: str
+    line: int
+    column: int
+
+
+_TOKEN_RE = re.compile(
+    r"""(?P<ws>[ \t\r\n]+)
+      | (?P<comment>\#[^\n]*)
+      | (?P<int>\d+)
+      | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+      | (?P<string>"[^"\n]*")
+      | (?P<punct>[()\[\]{},])
+    """,
+    re.VERBOSE,
+)
+
+
+def _tokenize(text: str) -> Iterator[_Token]:
+    pos = 0
+    line = 1
+    col = 1
+    n = len(text)
+    while pos < n:
+        match = _TOKEN_RE.match(text, pos)
+        if match is None:
+            raise dsl.DslError("parse", f"unexpected character {text[pos]!r}", line, col)
+        kind = match.lastgroup
+        value = match.group()
+        if kind not in ("ws", "comment"):
+            if kind == "string":
+                yield _Token("string", value[1:-1], line, col)
+            else:
+                yield _Token(kind, value, line, col)
+        newlines = value.count("\n")
+        if newlines:
+            line += newlines
+            col = len(value) - value.rfind("\n")
+        else:
+            col += len(value)
+        pos = match.end()
+    yield _Token("eof", "", line, col)
+
+
+class _Parser:
+    def __init__(self, text: str):
+        self.tokens = list(_tokenize(text))
+        self.pos = 0
+
+    def peek(self) -> _Token:
+        return self.tokens[self.pos]
+
+    def next(self) -> _Token:
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
+
+    def fail(self, message: str, tok: _Token | None = None) -> dsl.DslError:
+        tok = tok or self.peek()
+        shown = tok.value if tok.type != "eof" else "end of input"
+        return dsl.DslError("parse", f"{message}, got {shown!r}" if tok.type != "eof"
+                        else f"{message}, got end of input", tok.line, tok.column)
+
+    def expect_keyword(self, word: str) -> _Token:
+        tok = self.next()
+        if tok.type != "ident" or tok.value != word:
+            raise self.fail(f"expected '{word}'", tok)
+        return tok
+
+    def expect_punct(self, char: str) -> _Token:
+        tok = self.next()
+        if tok.type != "punct" or tok.value != char:
+            raise self.fail(f"expected '{char}'", tok)
+        return tok
+
+    def expect_int(self) -> int:
+        tok = self.next()
+        if tok.type != "int":
+            raise self.fail("expected an integer", tok)
+        if len(tok.value) > dsl.MAX_INT_DIGITS:
+            raise dsl.DslError("parse", f"integer literal of {len(tok.value)} "
+                           f"digits is too long", tok.line, tok.column)
+        return int(tok.value)
+
+    def expect_string(self) -> str:
+        tok = self.next()
+        if tok.type != "string":
+            raise self.fail("expected a quoted identifier", tok)
+        return tok.value
+
+    def parse_program(self) -> dsl.ModelAst:
+        self.expect_keyword("model")
+        name_tok = self.next()
+        if name_tok.type != "ident":
+            raise self.fail("expected a model name", name_tok)
+        self.expect_keyword("objective")
+        self.expect_keyword("minimize")
+        obj_tok = self.next()
+        if obj_tok.type != "ident" or obj_tok.value != dsl.OBJECTIVE:
+            raise self.fail(f"expected '{dsl.OBJECTIVE}'", obj_tok)
+        self.expect_keyword("constraints")
+        self.expect_punct("{")
+        statements: list[dsl.Statement] = []
+        while True:
+            tok = self.peek()
+            if tok.type == "punct" and tok.value == "}":
+                self.next()
+                break
+            if tok.type == "eof":
+                raise self.fail("expected a statement or '}'", tok)
+            statements.append(self.parse_statement())
+        tail = self.next()
+        if tail.type != "eof":
+            raise self.fail("expected end of input", tail)
+        return dsl.ModelAst(name=name_tok.value, statements=tuple(statements))
+
+    def parse_statement(self) -> dsl.Statement:
+        tok = self.next()
+        if tok.type != "ident":
+            raise self.fail("expected a statement keyword", tok)
+        if tok.value == "flow_balance":
+            self.expect_keyword("all")
+            return dsl.FlowBalanceAll()
+        if tok.value == "remove_edge":
+            source, target = self.parse_edge_pair()
+            return dsl.RemoveEdge(source, target)
+        if tok.value == "forbid_edge":
+            subject = self.parse_subject()
+            source, target = self.parse_edge_pair()
+            return dsl.ForbidEdge(subject, source, target)
+        if tok.value == "require_subpath":
+            subject = self.parse_subject()
+            return dsl.RequireSubpath(subject, self.parse_node_list())
+        if tok.value == "require_exact_path":
+            subject = self.parse_subject()
+            return dsl.RequireExactPath(subject, self.parse_node_list())
+        raise self.fail("expected a statement keyword", tok)
+
+    def parse_subject(self) -> dsl.SubjectRef:
+        tok = self.next()
+        if tok.type != "ident" or tok.value not in ("vehicle", "task"):
+            raise self.fail("expected 'vehicle' or 'task'", tok)
+        return dsl.SubjectRef(kind=tok.value, ident=self.expect_string())
+
+    def parse_edge_pair(self) -> tuple[int, int]:
+        self.expect_punct("(")
+        source = self.expect_int()
+        self.expect_punct(",")
+        target = self.expect_int()
+        self.expect_punct(")")
+        return source, target
+
+    def parse_node_list(self) -> tuple[int, ...]:
+        self.expect_punct("[")
+        nodes = [self.expect_int()]
+        self.expect_punct(",")
+        nodes.append(self.expect_int())
+        while True:
+            tok = self.peek()
+            if tok.type == "punct" and tok.value == ",":
+                self.next()
+                nodes.append(self.expect_int())
+            else:
+                self.expect_punct("]")
+                return tuple(nodes)
+
+
+def reference_parse(text: str) -> dsl.ModelAst:
+    """The earlier `dsl.parse`: every token a frozen `_Token` with its
+    line and column tracked as the text is scanned."""
+    return _Parser(text).parse_program()
+
+
+def parse_outcome(parse, text: str) -> dsl.ModelAst | dsl.DslError:
+    """The AST `parse(text)` returns, or the DslError it raises."""
+    try:
+        return parse(text)
+    except dsl.DslError as exc:
+        return exc
 
 
 def fraction_exact_p(table: Sequence[Sequence[int]]) -> float:

@@ -141,7 +141,9 @@ def test_criterion_3_dsl_round_trip_and_fuzz():
     rng = random.Random(31415)
     for i in range(10_000):
         ast = helpers.random_ast(rng)
-        assert dsl.parse(dsl.render(ast)) == ast, ast
+        text = dsl.render(ast)
+        assert dsl.parse(text) == ast, ast
+        assert helpers.reference_parse(text) == ast, ast
 
     corpus = [dsl.render(helpers.random_ast(rng)) for _ in range(50)]
     corpus.append(inj.CORRECT_PROGRAMS["road_closure"])
@@ -151,6 +153,7 @@ def test_criterion_3_dsl_round_trip_and_fuzz():
                 "0 1 9 a Z _ \t é 中 \0").split(" ")
     alphabet.append(" ")
     fuzz_count = 100_000
+    errors = 0
     for i in range(fuzz_count):
         mode = rng.random()
         if mode < 0.45:
@@ -167,12 +170,14 @@ def test_criterion_3_dsl_round_trip_and_fuzz():
         else:
             text = "".join(chr(rng.randint(0, 0x2ff))
                            for _ in range(rng.randint(0, 30)))
-        try:
-            dsl.parse(text)
-        except dsl.DslError:
-            pass  # structured rejection is the only acceptable failure
+        # a structured rejection is the only acceptable failure, and it
+        # must name the reference parser's message, line and column
+        outcome = helpers.parse_outcome(dsl.parse, text)
+        assert outcome == helpers.parse_outcome(helpers.reference_parse, text), text
+        errors += isinstance(outcome, dsl.DslError)
     print(f"\nPASS: criterion 3 - 10000 AST round-trips and {fuzz_count} "
-          "fuzz inputs with no parser aborts")
+          f"fuzz inputs equal the reference parser ({errors} errors with "
+          "the same message, line and column); no parser aborts")
 
 
 def _results(n_total, n_solved):

@@ -481,3 +481,11 @@ class TestArgparse:
         with pytest.raises(SystemExit) as exc:
             main(["bench", "--llm", "mock:x", "--kshot", "2", "--out", "o"])
         assert exc.value.code == 2
+
+    def test_kb_add_requires_kb(self, tmp_path, capsys):
+        exemplar = tmp_path / "ex.json"
+        exemplar.write_text("{}")
+        with pytest.raises(SystemExit) as exc:
+            main(["kb", "add", "--exemplar", str(exemplar)])
+        assert exc.value.code == 2
+        assert "--kb" in capsys.readouterr().err

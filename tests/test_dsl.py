@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_ast
+from helpers import parse_outcome, random_ast, reference_parse
 from vdsagent import dsl
+
+HEAD = "model m\nobjective minimize total_travel_time\n"
 
 CLEAN = """\
 model closure_transfer
@@ -56,13 +58,30 @@ class TestParse:
             "model m\nobjective  minimize\ttotal_travel_time\n"
             "constraints {\n  flow_balance all  # why not\n}\n")
 
-    def test_error_position_reported(self):
+    @pytest.mark.parametrize("text,line,column,fragment", [
+        (HEAD + "constraints {\n  flow_balance some\n}", 4, 16,
+         "expected 'all'"),
+        ("# header\n" + HEAD + "constraints { bogus }", 4, 15,
+         "expected a statement keyword, got 'bogus'"),
+        ((HEAD + "constraints {\n  flow_balance some\n}").replace("\n", "\r\n"),
+         4, 16, "expected 'all'"),
+        (HEAD + "constraints {\n\tremove_edge (6 7)\n}", 4, 17,
+         "expected ',', got '7'"),
+        (HEAD + "constraints { ; }", 3, 15, "unexpected character ';'"),
+        (HEAD + "constraints {\n  flow_balance all\n", 5, 1,
+         "expected a statement or '}', got end of input"),
+        (HEAD + "constraints {\n  remove_edge (" + "9" * 641 + ", 7)\n}", 4, 16,
+         "integer literal of 641 digits is too long"),
+    ], ids=["keyword", "after-comment", "crlf", "tab", "bad-char", "eof",
+            "long-int"])
+    def test_error_position_reported(self, text, line, column, fragment):
         with pytest.raises(dsl.DslError) as exc:
-            dsl.parse("model m\nobjective minimize total_travel_time\n"
-                      "constraints {\n  flow_balance some\n}")
+            dsl.parse(text)
         assert exc.value.kind == "parse"
-        assert exc.value.line == 4
-        assert "expected 'all'" in exc.value.message
+        assert (exc.value.line, exc.value.column) == (line, column)
+        assert str(exc.value).startswith(
+            f"parse error at line {line}, column {column}:")
+        assert fragment in exc.value.message
 
     @pytest.mark.parametrize("text,fragment", [
         ("", "expected 'model'"),
@@ -202,6 +221,19 @@ class TestRender:
         ast = dsl.parse(CLEAN)
         assert dsl.render(ast) == CLEAN
 
+    def test_path_statements_differ_only_in_keyword(self):
+        subject = dsl.SubjectRef("task", "T3")
+        sub = dsl.RequireSubpath(subject, [6, 10])
+        exact = dsl.RequireExactPath(subject, (6, 10))
+        assert sub == dsl.RequireSubpath(subject, (6, 10))
+        assert sub != exact and hash(sub) == hash(exact)
+        assert repr(exact) == ("RequireExactPath(subject=SubjectRef(kind='task', "
+                               "ident='T3'), nodes=(6, 10))")
+        assert sub.render() == 'require_subpath task "T3" [6, 10]'
+        assert exact.render() == 'require_exact_path task "T3" [6, 10]'
+        with pytest.raises(AttributeError):
+            exact.nodes = (6,)
+
     def test_round_trip_bulk(self):
         rng = random.Random(7)
         for _ in range(2000):
@@ -219,10 +251,8 @@ class TestFuzz:
     @settings(max_examples=300)
     @given(st.text(max_size=80))
     def test_parser_never_crashes(self, text):
-        try:
-            dsl.parse(text)
-        except dsl.DslError:
-            pass
+        # a DslError is the only acceptable failure, equal to the reference's
+        assert parse_outcome(dsl.parse, text) == parse_outcome(reference_parse, text)
 
     def test_grammar_constant_mentions_every_statement(self):
         for word in ("flow_balance", "remove_edge", "forbid_edge",
