@@ -11,7 +11,7 @@ import math
 import re
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from pathlib import Path
 from typing import Any
 
@@ -405,11 +405,19 @@ def parse_environment(network_text: str, config_text: str,
     )
 
 
-def default_network() -> Network:
-    """The standard benchmark grid (4 x 5 nodes, 64 directed edges), parsed
-    from `DEFAULT_NETWORK_FILE` into a new `Network` on every call, so
-    each caller owns its route memo."""
+@cache
+def _packaged_network() -> Network:
     return parse_network(DEFAULT_NETWORK_FILE.read_text(encoding="utf-8"))
+
+
+def default_network() -> Network:
+    """The standard benchmark grid (4 x 5 nodes, 64 directed edges).
+
+    `DEFAULT_NETWORK_FILE` is parsed once per process; every call returns
+    a new `Network` of its nodes and edges, so each caller owns its memos
+    and link index."""
+    packaged = _packaged_network()
+    return Network(nodes=packaged.nodes, edges=packaged.edges)
 
 
 def env_digest(env: TerminalEnv) -> str:

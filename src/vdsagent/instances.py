@@ -9,6 +9,8 @@ in `injection` are derived from it.
 Each drawn OD is checked by solving that vehicle alone under the
 `solver.scenario_constraints` record the oracle uses; ODs that make it
 infeasible (or degenerate) are resampled, at most 100 draws per vehicle.
+All draws of a call share one record, so they share its common view and
+resume each target's reverse search instead of starting it again.
 """
 
 from __future__ import annotations

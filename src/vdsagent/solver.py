@@ -22,6 +22,13 @@ Found routes are memoized on the `env.Network` a view comes from, keyed
 by (removed links, source, target) and kept as long as that network
 object, so generation, the oracle and every transfer on it solve each
 route once.  Infeasible and timed-out searches are not stored.
+
+A reverse search can be resumed.  From a (removed links, target)'s
+second request on, its distances, settle order and heap are kept, and a
+later source either is settled already or resumes the heap until it
+settles.  That state lives on the common view `solve` keeps on its
+`Constraints` record, not on the network, so it is dropped with the
+record: instance generation shares one record over all its draws.
 """
 
 from __future__ import annotations
@@ -68,6 +75,8 @@ class RoadGraph:
         self._succ, self._pred = network.adjacency
         self._routes = network.routes
         self._cuts = network.cuts
+        # resumable searches, shared by the views derived from this one
+        self._searches: dict[tuple, tuple] = {}
         self.removed: frozenset[tuple[int, int]] = frozenset()
         # link tuples of the nodes a removed link touches, filtered
         self._cut_succ: Links = {}
@@ -131,13 +140,26 @@ class Constraints:
     """Which links each vehicle loses and which route it must follow.
 
     `removed` is closed to all vehicles, `removed_for[v]` to vehicle v
-    only, and `required[v]` is v's path requirement.
+    only, and `required[v]` is v's path requirement.  `solve` keeps its
+    common view, with the searches run on it, on the record, so the
+    record and the collections it holds must not be mutated after its
+    first `solve`.
     """
 
     removed: Iterable[tuple[int, int]] = frozenset()
     removed_for: Mapping[str, Iterable[tuple[int, int]]] = field(
         default_factory=dict)
     required: Mapping[str, PathRequirement] = field(default_factory=dict)
+    _common: RoadGraph | None = field(default=None, init=False, repr=False,
+                                      compare=False)
+
+    def common_view(self, network: Network) -> RoadGraph:
+        """The view of `network` without `removed`, built once per network."""
+        view = self._common
+        if view is None or view._network is not network:
+            view = RoadGraph(network).without(self.removed)
+            object.__setattr__(self, "_common", view)
+        return view
 
 
 @dataclass(frozen=True)
@@ -175,7 +197,12 @@ def shortest_path(graph: RoadGraph, source: int, target: int,
 
     A found route is memoized under (removed links, source, target) in
     the memo of the graph's network, living as long as it; infeasible and
-    timed-out searches raise and store nothing.
+    timed-out searches raise and store no route.  The Dijkstra itself is
+    kept on the graph's views from the second request for its (removed
+    links, target) on: a settled source goes straight to the walk, an
+    unsettled one resumes the heap, and once the heap is empty every
+    other source is infeasible.  Settle order does not depend on where a
+    search stops, so a resumed search finds the route a fresh one would.
     """
     key = (graph.removed, source, target)
     route = graph._routes.get(key)
@@ -188,12 +215,18 @@ def _search(graph: RoadGraph, source: int, target: int,
             deadline: float) -> tuple[float, tuple[int, ...]]:
     if source == target:
         return 0.0, (source,)
+    key = (graph.removed, target)
+    state = graph._searches.get(key)
+    if not state:  # the first request leaves a marker, the second its state
+        fresh = ({target: 0.0}, {}, [(0.0, target)])
+        graph._searches[key] = () if state is None else fresh
+        state = fresh
+    dist, rank, heap = state  # rank is the settle order
     pred, cut_pred = graph._pred, graph._cut_pred
-    dist: dict[int, float] = {target: 0.0}
-    rank: dict[int, int] = {}  # settle order
-    heap: list[tuple[float, int]] = [(0.0, target)]
     pops = 0
-    while heap:
+    while source not in rank:  # a settled node's links are relaxed
+        if not heap:
+            raise SolveError("infeasible", f"no path from {source} to {target}")
         pops += 1
         if pops % CLOCK_EVERY == 0 and _now() > deadline:
             raise SolveError("timeout", "deadline passed during search")
@@ -201,16 +234,12 @@ def _search(graph: RoadGraph, source: int, target: int,
         if node in rank:
             continue
         rank[node] = len(rank)
-        if node == source:
-            break
         into = cut_pred[node] if node in cut_pred else pred.get(node, ())
         for link in into:
             prev, nd = link.source, d + link.length
             if nd < dist.get(prev, math.inf):
                 dist[prev] = nd
                 heapq.heappush(heap, (nd, prev))
-    else:
-        raise SolveError("infeasible", f"no path from {source} to {target}")
     succ, cut_succ = graph._succ, graph._cut_succ
     path = [source]
     cost = 0.0
@@ -293,7 +322,7 @@ def solve(constraints: Constraints, network: Network, trips: Trips,
     """
     check_time_limit(time_limit)
     deadline = _now() + time_limit
-    common = RoadGraph(network).without(constraints.removed)
+    common = constraints.common_view(network)
     removed_for, required = constraints.removed_for, constraints.required
     paths: dict[str, tuple[int, ...]] = {}
     costs: dict[str, float] = {}

@@ -4,7 +4,10 @@ Everything here avoids the library's own algorithms: shortest paths are
 found by exhaustive enumeration and costs are summed with Fractions, so
 these functions can serve as ground truth for exactness tests.
 `path_heap_dijkstra` is the solver's earlier search, kept as the
-reference for graphs too large to enumerate; `list_count_bm25` is the
+reference for graphs too large to enumerate, and `reference_search` is
+the reverse search the solver ran before searches could be resumed: a
+fresh Dijkstra per call, stopped before the source's links are relaxed.
+`list_count_bm25` is the
 retriever's earlier scorer, which re-counts every term in each token
 list.  `rendered_env_digest` and `regex_tokenize` are the earlier digest
 renderer and tokenizer.  `reference_parse` is the earlier program parser,
@@ -30,6 +33,7 @@ from fractions import Fraction
 from typing import Any, Iterable, Iterator, Sequence
 
 from vdsagent import dsl
+from vdsagent import solver as sv
 from vdsagent.env import Edge, Network, Node, TerminalEnv
 from vdsagent.injection import MODELER_SCHEMES, RECOVERY_REFLECTION
 from vdsagent.knowledge import BM25_B, BM25_K1
@@ -213,6 +217,52 @@ def path_heap_dijkstra(edges: EdgeMap, source: int,
             if nxt not in settled:
                 heapq.heappush(heap, (cost + w, path + (nxt,)))
     return None
+
+
+def reference_search(graph: sv.RoadGraph, source: int, target: int,
+                     deadline: float = math.inf
+                     ) -> tuple[float, tuple[int, ...]]:
+    """The solver's earlier `_search` on `graph`, starting afresh."""
+    if source == target:
+        return 0.0, (source,)
+    pred, cut_pred = graph._pred, graph._cut_pred
+    dist: dict[int, float] = {target: 0.0}
+    rank: dict[int, int] = {}  # settle order
+    heap: list[tuple[float, int]] = [(0.0, target)]
+    pops = 0
+    while heap:
+        pops += 1
+        if pops % sv.CLOCK_EVERY == 0 and sv._now() > deadline:
+            raise sv.SolveError("timeout", "deadline passed during search")
+        d, node = heapq.heappop(heap)
+        if node in rank:
+            continue
+        rank[node] = len(rank)
+        if node == source:
+            break
+        into = cut_pred[node] if node in cut_pred else pred.get(node, ())
+        for link in into:
+            prev, nd = link.source, d + link.length
+            if nd < dist.get(prev, math.inf):
+                dist[prev] = nd
+                heapq.heappush(heap, (nd, prev))
+    else:
+        raise sv.SolveError("infeasible",
+                            f"no path from {source} to {target}")
+    succ, cut_succ = graph._succ, graph._cut_succ
+    path = [source]
+    cost = 0.0
+    node = source
+    while node != target:
+        here, limit = dist[node], rank[node]
+        for link in (cut_succ[node] if node in cut_succ else succ[node]):
+            nxt = link.target
+            if rank.get(nxt, limit) < limit and link.length + dist[nxt] == here:
+                break
+        path.append(nxt)
+        cost += link.length
+        node = nxt
+    return cost, tuple(path)
 
 
 def list_count_bm25(query_terms: list[str],

@@ -13,6 +13,7 @@ from vdsagent.env import (EXPERTISE_LEVELS, SCENARIO_KINDS, Agv, Edge,
 from vdsagent.errors import (CrossReferenceError, SchemaError,
                              UnknownCombination)
 from vdsagent.instances import generate_instances, with_level
+from vdsagent.solver import RoadGraph, shortest_path
 
 
 def triangle():
@@ -40,6 +41,18 @@ class TestNetwork:
         # grid edges are all symmetric
         for (u, v), w in lengths.items():
             assert lengths[(v, u)] == w
+
+    def test_default_grid_is_parsed_once_into_fresh_networks(self):
+        first, second = default_network(), default_network()
+        assert first is not second and first == second
+        assert first == parse_network(DEFAULT_NETWORK_FILE.read_text())
+        # the parsed tuples are shared, every memo is the caller's own
+        assert first.nodes is second.nodes and first.edges is second.edges
+        for memo in ("routes", "cuts", "adjacency"):
+            assert getattr(first, memo) is not getattr(second, memo)
+        route = shortest_path(RoadGraph(first), 0, 19)
+        assert list(first.routes.values()) == [route]
+        assert second.routes == {} and default_network().routes == {}
 
     def test_row_major_adjacency(self):
         lengths = default_network().lengths()

@@ -1,3 +1,4 @@
+import functools
 import gc
 import math
 import random
@@ -7,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from helpers import (grid_edges, min_simple_path, min_walk, network_from,
-                     path_cost, path_heap_dijkstra)
+                     path_cost, path_heap_dijkstra, reference_search)
 from vdsagent import bench, dsl, instances
 from vdsagent import injection as inj
 from vdsagent import solver as sv
@@ -295,8 +296,9 @@ class TestSharedIndex:
 
     def test_golden_suite_indexes_each_network_once(self, monkeypatch):
         # every solve (generation draws, 15 oracle solves, 45 transfers)
-        # takes one graph of one of the 3 generated networks
-        networks, indexes, solves = [], [], []
+        # routes on a view of one of the 3 generated networks, built once
+        # per Constraints record: generation shares one over all its draws
+        networks, indexes, solves, records = [], [], [], []
         init, solve = sv.RoadGraph.__init__, sv.solve
 
         def recorded(graph, network):
@@ -305,6 +307,7 @@ class TestSharedIndex:
             indexes.append(graph._succ)
 
         def counted(*args):
+            records.append(args[0])
             solves.append(args[1])
             return solve(*args)
 
@@ -315,7 +318,8 @@ class TestSharedIndex:
             bench.SuiteConfig(seed=3), load_seed_kb(),
             bench.scripted_provider(inj.golden_script()))
         assert report["aggregates"]["overall"]["ssr"] == 1.0
-        assert list(map(id, networks)) == list(map(id, solves))
+        assert {id(n) for n in networks} == {id(n) for n in solves}
+        assert len(networks) == len({id(r) for r in records}) == 3 + 15 + 45
         assert len(solves) > 60
         assert len({id(network) for network in networks}) == 3
         assert len({id(index) for index in indexes}) == 3
@@ -356,6 +360,169 @@ class TestSharedIndex:
                     else:
                         assert sv.shortest_path(view, source,
                                                 target) == route
+
+
+def grid_network(side, cut=()):
+    """A side x side grid network and its link -> length map without `cut`."""
+    lengths = grid_edges(side)
+    kept = {e: w for e, w in lengths.items() if e not in cut}
+    return network_from(lengths, range(side * side)), kept
+
+
+def outcome(search, *args):
+    """A search's route, or the kind of the SolveError it raised."""
+    try:
+        return search(*args)
+    except sv.SolveError as exc:
+        return exc.kind
+
+
+class TestResumedSearch:
+    def test_interleaved_sources_match_a_fresh_search(self):
+        rng = random.Random(23)
+        seen = {"fresh": 0, "settled": 0, "resumed": 0, "exhausted": 0}
+        for case in range(300):
+            if case % 5:
+                _, lengths, network = random_digraph(rng)
+            else:  # equal lengths: ties everywhere
+                network, lengths = grid_network(rng.randrange(2, 6))
+            nodes = [n.id for n in network.nodes]
+            links = sorted(lengths)
+            common = sv.RoadGraph(network).without(
+                rng.sample(links, rng.randrange(0, len(links) // 3 + 1)))
+            banned = common.without(rng.sample(links, min(2, len(links))))
+            queries = [(view, target, source)
+                       for view in (common, banned)
+                       for target in rng.sample(nodes, min(3, len(nodes)))
+                       for source in (target, *rng.choices(nodes, k=8))]
+            rng.shuffle(queries)
+            for view, target, source in queries:
+                state = view._searches.get((view.removed, target))
+                if source == target or not state:
+                    seen["fresh"] += 1
+                elif source in state[1]:
+                    seen["settled"] += 1
+                else:
+                    seen["resumed" if state[2] else "exhausted"] += 1
+                assert outcome(sv._search, view, source, target, math.inf) \
+                    == outcome(reference_search, view, source, target)
+        assert min(seen.values()) > 100, seen
+
+    def test_state_is_kept_from_the_second_request(self):
+        network, _ = grid_network(6)
+        graph = sv.RoadGraph(network)
+        sv._search(graph, 5, 0, math.inf)
+        assert graph._searches == {(frozenset(), 0): ()}
+        sv._search(graph, 7, 0, math.inf)
+        dist, rank, heap = graph._searches[(frozenset(), 0)]
+        assert 7 in rank and 35 not in rank and heap
+        for source in (35, 5):  # resumed, then settled already
+            assert sv._search(graph, source, 0, math.inf) == \
+                reference_search(graph, source, 0)
+        assert graph._searches[(frozenset(), 0)][1] is rank
+        assert 35 in rank and 5 in rank
+        # every view derived from the graph shares its searches
+        assert graph.without({(1, 0)})._searches is graph._searches
+
+    def test_timeout_mid_resume_stores_no_route(self, monkeypatch):
+        side, far = 40, 40 * 40 - 1
+        network, kept = grid_network(side, {(1, 0)})
+        constraints = sv.Constraints(removed={(1, 0)})
+        for source in (1, side):  # a marker, then a state kept near 0
+            sv.solve(constraints, network, {"v": (source, 0)})
+        common = constraints.common_view(network)
+        dist, rank, heap = common._searches[(common.removed, 0)]
+        settled = len(rank)
+        reads = []
+
+        def clock():
+            reads.append(None)
+            return 0.0 if len(reads) <= 2 else 1000.0
+
+        monkeypatch.setattr(sv, "_now", clock)
+        with pytest.raises(sv.SolveError) as exc:
+            sv.solve(constraints, network, {"v": (far, 0)})
+        assert exc.value.kind == "timeout"
+        assert (common.removed, far, 0) not in network.routes
+        assert far not in rank and len(rank) > settled
+        monkeypatch.setattr(sv, "_now", lambda: 0.0)
+        solution = sv.solve(constraints, network, {"v": (far, 0)})
+        expected = reference_search(common, far, 0)
+        assert expected == path_heap_dijkstra(kept, far, 0)
+        assert (solution.costs["v"], solution.paths["v"]) == expected
+        assert network.routes[(common.removed, far, 0)] == expected
+        assert constraints.common_view(network) is common
+        assert common._searches[(common.removed, 0)][1] is rank
+
+
+class TestSearchLifetime:
+    def test_searches_die_with_their_record(self):
+        cached = {name for name, value in vars(Network).items()
+                  if isinstance(value, functools.cached_property)}
+
+        def graphs():
+            return sum(isinstance(o, sv.RoadGraph) for o in gc.get_objects())
+
+        gc.collect()
+        gc.disable()
+        try:
+            before = graphs()
+            network = default_network()
+            fields = set(network.__dict__)
+            constraints = sv.Constraints(removed={(6, 7)},
+                                         removed_for={"B": {(5, 6)}})
+            for source in (0, 4, 9):
+                sv.solve(constraints, network,
+                         {"A": (source, 19), "B": (source, 19)})
+            view = constraints.common_view(network)
+            assert view._searches[(view.removed, 19)]  # a kept state
+            del view, constraints
+            assert graphs() == before
+            assert set(network.__dict__) - fields <= {"routes", "cuts"} | cached
+            assert all(type(route[1]) is tuple
+                       for route in network.routes.values())
+        finally:
+            gc.enable()
+
+    def test_a_record_rebuilds_its_view_for_another_network(self):
+        first, second = default_network(), default_network()
+        constraints = sv.Constraints(removed={(6, 7)})
+        sv.solve(constraints, first, {"v": (6, 7)})
+        view = constraints.common_view(first)
+        assert view._network is first
+        assert sv.solve(constraints, second, {"v": (6, 7)}).objective == 30.0
+        other = constraints.common_view(second)
+        assert other is not view and other._network is second
+        assert other._searches is not view._searches
+
+    @pytest.mark.parametrize("kind", SCENARIO_KINDS)
+    def test_generation_builds_one_common_view(self, monkeypatch, kind):
+        built, views, searches = [], [], set()
+        init, common_view = sv.RoadGraph.__init__, sv.Constraints.common_view
+        solve_route = sv.solve_route
+
+        def recorded(graph, network):
+            init(graph, network)
+            built.append(network)
+
+        def common(constraints, network):
+            view = common_view(constraints, network)
+            views.append(view)
+            return view
+
+        def routed(graph, *rest):
+            searches.add(id(graph._searches))
+            return solve_route(graph, *rest)
+
+        monkeypatch.setattr(sv.RoadGraph, "__init__", recorded)
+        monkeypatch.setattr(sv.Constraints, "common_view", common)
+        monkeypatch.setattr(sv, "solve_route", routed)
+        generated = generate_instances(3, kind, 5)
+        network = generated[0][0].network
+        assert [id(n) for n in built] == [id(network)]
+        assert len(views) >= 5 * 30  # one solve per draw
+        assert {id(view) for view in views} == {id(views[0])}
+        assert searches == {id(views[0]._searches)}
 
 
 def cut_links(network, removed):
