@@ -28,8 +28,7 @@ from .knowledge import KnowledgeBase, accumulate
 from .llm import Backend, MockBackend
 from .solver import DEFAULT_TIME_LIMIT, oracle_solve
 from .stats import DegenerateTable, exact_test
-from .workflow import (TransferOutcome, WorkflowConfig, is_executed,
-                       run_transfer)
+from .workflow import TransferOutcome, WorkflowConfig, run_transfer
 
 SIGNIFICANCE_LEVEL = 0.05
 
@@ -157,7 +156,7 @@ def evaluate_instance(instance_id: str, scenario: str, level: str,
                       outcome: TransferOutcome, oracle_objective: float,
                       tolerance: float, max_iterations: int) -> InstanceResult:
     """Judge one transfer outcome against the oracle objective."""
-    executed = is_executed(outcome)
+    executed = outcome.status == "solved"
     objective = outcome.solution.objective if executed else None
     solved = executed and abs(objective - oracle_objective) <= tolerance
     return InstanceResult(

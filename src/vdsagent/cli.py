@@ -25,7 +25,7 @@ from .bench import (ABLATIONS, BackendProvider, SuiteConfig, report_to_csv,
 from .env import (DEFAULT_ENV_DIR, DEFAULT_NETWORK_FILE, ScenarioSpec,
                   TerminalEnv, parse_environment)
 from .errors import ConfigError, VdsAgentError
-from .files import atomic_write, read_json, write_json
+from .files import atomic_write, read_json, read_text, write_json
 from .knowledge import Exemplar, KnowledgeBase, load, load_seed_kb
 from .solver import DEFAULT_TIME_LIMIT, SolveError, oracle_solve
 from .workflow import WorkflowConfig, run_transfer
@@ -38,7 +38,7 @@ def _read_text(path: str | Path, what: str) -> str:
     p = Path(path)
     if not p.is_file():
         raise ConfigError(f"{what} file not found: {p}")
-    return p.read_text(encoding="utf-8")
+    return read_text(p, f"{what} file {p}", ConfigError)
 
 
 def _read_json(path: str | Path, what: str) -> dict[str, Any]:

@@ -1,5 +1,6 @@
-"""Atomic file writes and the JSON document format: every JSON document
-the package reads is decoded by `read_json`, every one it writes is
+"""Atomic file writes, text reads and the JSON document format: every
+input file the package reads is decoded by `read_text`, every JSON
+document it reads is parsed by `read_json`, every one it writes is
 written by `write_json`."""
 
 from __future__ import annotations
@@ -22,6 +23,15 @@ def atomic_write(path: str | Path, text: str) -> None:
     tmp.replace(target)
 
 
+def read_text(path: Path, what: str, error: type[Exception]) -> str:
+    """The UTF-8 text of `path`; raise `error` with a message starting
+    `<what>: ` when it does not decode."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{what}: not UTF-8 ({exc})") from exc
+
+
 def read_json(text: str, what: str,
               error: type[Exception]) -> dict[str, Any]:
     """Decode a document that must be a JSON object, or raise `error`
@@ -30,6 +40,8 @@ def read_json(text: str, what: str,
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise error(f"{what}: invalid JSON ({exc})") from exc
+    except RecursionError as exc:
+        raise error(f"{what}: invalid JSON (nested too deeply)") from exc
     if not isinstance(data, dict):
         raise error(f"{what}: expected an object, got {type(data).__name__}")
     return data

@@ -37,7 +37,7 @@ import yaml
 from . import dsl
 from .env import TerminalEnv, env_digest, tokenize
 from .errors import ValidationError
-from .files import read_json, write_json
+from .files import read_json, read_text, write_json
 
 PRIMITIVE_CATEGORIES = ("variable_definition", "constraint_formulation",
                         "objective_function")
@@ -191,7 +191,8 @@ def load(path: str | Path) -> KnowledgeBase:
         raise FileNotFoundError(f"knowledge base directory {root} not found")
     primitives = []
     for md in sorted((root / "primitives").glob("*.md")):
-        meta, body = _parse_front_matter(md.read_text(encoding="utf-8"), md.name)
+        meta, body = _parse_front_matter(
+            read_text(md, md.name, ValidationError), md.name)
         for key in ("id", "category", "title"):
             if not isinstance(meta.get(key), str):
                 raise ValidationError(f"{md.name}: front-matter needs '{key}'")
@@ -201,7 +202,7 @@ def load(path: str | Path) -> KnowledgeBase:
     exdir = root / "exemplars"
     if exdir.is_dir():
         for jf in sorted(exdir.glob("*.json")):
-            data = read_json(jf.read_text(encoding="utf-8"), jf.name,
+            data = read_json(read_text(jf, jf.name, ValidationError), jf.name,
                              ValidationError)
             ex = Exemplar(**{f.name: data.get(f.name)
                              for f in fields(Exemplar)})

@@ -9,7 +9,10 @@ node sequence wins, which makes every result deterministic.
 `bind` (from a program) and `scenario_constraints` (from a scenario)
 fill one `Constraints` record, which `solve` reads in one walk over the
 fleet's trips: `solve_route` routes each vehicle on the common view, or
-on a view of its own if it has links of its own removed.
+on a view of its own if it has links of its own removed.  A vehicle's
+one route requirement is a corridor, a node sequence its route must
+contain; a pinned path is the corridor from its origin to its
+destination.
 A network's links are indexed once, in `Network.adjacency`: per node,
 the network's own outgoing `Edge` objects sorted by target and incoming
 ones sorted by source.  Every `RoadGraph` is a view of one network that
@@ -117,7 +120,10 @@ class SolveError(VdsAgentError):
     """A bind or solve failure, classified by `kind`.
 
     Kinds: bind_unknown_node, bind_unknown_edge, bind_unknown_vehicle,
-    bind_conflict, infeasible, timeout, degenerate_edge_reuse.
+    bind_conflict, infeasible, timeout, degenerate_edge_reuse.  A
+    corridor's links are costed before its route is checked for a reused
+    link, so a corridor that both reuses a link and names a missing one
+    is infeasible.
     """
 
     def __init__(self, kind: str, detail: str):
@@ -127,29 +133,21 @@ class SolveError(VdsAgentError):
 
 
 @dataclass(frozen=True)
-class PathRequirement:
-    kind: str  # "subpath" | "exact"
-    nodes: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "nodes", tuple(self.nodes))
-
-
-@dataclass(frozen=True)
 class Constraints:
-    """Which links each vehicle loses and which route it must follow.
+    """Which links each vehicle loses and which corridor it must drive.
 
     `removed` is closed to all vehicles, `removed_for[v]` to vehicle v
-    only, and `required[v]` is v's path requirement.  `solve` keeps its
-    common view, with the searches run on it, on the record, so the
-    record and the collections it holds must not be mutated after its
-    first `solve`.
+    only, and `required[v]` is the corridor, a node tuple, that v's route
+    must contain; a pinned path is the corridor from v's origin to its
+    destination.  `solve` keeps its common view, with the searches run
+    on it, on the record, so the record and the collections it holds must
+    not be mutated after its first `solve`.
     """
 
     removed: Iterable[tuple[int, int]] = frozenset()
     removed_for: Mapping[str, Iterable[tuple[int, int]]] = field(
         default_factory=dict)
-    required: Mapping[str, PathRequirement] = field(default_factory=dict)
+    required: Mapping[str, tuple[int, ...]] = field(default_factory=dict)
     _common: RoadGraph | None = field(default=None, init=False, repr=False,
                                       compare=False)
 
@@ -280,32 +278,22 @@ def _edge_cost(graph: RoadGraph, path: tuple[int, ...]) -> float:
 
 
 def solve_route(graph: RoadGraph, od: tuple[int, int] | None,
-                req: PathRequirement | None,
+                corridor: tuple[int, ...] | None,
                 deadline: float) -> tuple[float, tuple[int, ...]]:
-    """One vehicle's cheapest route on `graph` meeting `req`; a vehicle
-    without a trip (`od` None) costs 0 on the empty path."""
+    """One vehicle's cheapest route on `graph` containing `corridor`: the
+    shortest head to the corridor, the corridor, the shortest tail from
+    it.  A corridor from origin to destination has a single-node head and
+    tail, so it is the route.  A vehicle without a trip (`od` None) costs
+    0 on the empty path."""
     if od is None:
         return 0.0, ()
     source, target = od
-    if req is None:
+    if corridor is None:
         return shortest_path(graph, source, target, deadline)
-    if req.kind == "exact":
-        path = req.nodes
-        if path[0] != source or path[-1] != target:
-            raise SolveError(
-                "bind_conflict",
-                f"exact path endpoints ({path[0]}, {path[-1]}) do not match "
-                f"OD pair ({source}, {target})")
-        dup = _duplicate_edge(path)
-        if dup is not None:
-            raise SolveError("degenerate_edge_reuse",
-                             f"exact path reuses edge {dup}")
-        return _edge_cost(graph, path), path
-    # subpath: shortest head and tail around the forced segment
-    forced_cost = _edge_cost(graph, req.nodes)
-    head_cost, head = shortest_path(graph, source, req.nodes[0], deadline)
-    tail_cost, tail = shortest_path(graph, req.nodes[-1], target, deadline)
-    full = head + req.nodes[1:] + tail[1:]
+    forced_cost = _edge_cost(graph, corridor)
+    head_cost, head = shortest_path(graph, source, corridor[0], deadline)
+    tail_cost, tail = shortest_path(graph, corridor[-1], target, deadline)
+    full = head + corridor[1:] + tail[1:]
     dup = _duplicate_edge(full)
     if dup is not None:
         raise SolveError("degenerate_edge_reuse",
@@ -378,11 +366,12 @@ def bind(ast: dsl.ModelAst, env: TerminalEnv) -> Constraints:
 
     Assumes static_check(ast) passed.  Statements apply in program order
     to one `Constraints` record, returned for `solve`.  A path
-    requirement on a vehicle without a task is a bind_conflict.
+    requirement on a vehicle without a task is a bind_conflict, and so is
+    an exact path whose ends are not its vehicle's origin and destination.
     """
     removed: set[tuple[int, int]] = set()
     removed_for: dict[str, set[tuple[int, int]]] = {}
-    required: dict[str, PathRequirement] = {}
+    required: dict[str, tuple[int, ...]] = {}
     trips = env.fleet.trips
     for stmt in ast.statements:
         if isinstance(stmt, dsl.FlowBalanceAll):
@@ -415,7 +404,7 @@ def bind(ast: dsl.ModelAst, env: TerminalEnv) -> Constraints:
                     "bind_conflict",
                     f"exact path endpoints ({first}, {last}) "
                     f"do not match OD pair {od} of vehicle {vehicle}")
-            required[vehicle] = PathRequirement(kind, stmt.nodes)
+            required[vehicle] = stmt.nodes
     return Constraints(removed, removed_for, required)
 
 
@@ -426,8 +415,7 @@ def scenario_constraints(spec: ScenarioSpec,
     `task_vehicle` maps task id -> vehicle id.  Reads no program.
     """
     if spec.kind == "designated_route":
-        return Constraints(required={
-            task_vehicle[spec.task]: PathRequirement("subpath", spec.nodes)})
+        return Constraints(required={task_vehicle[spec.task]: spec.nodes})
     both = frozenset({spec.edge, spec.edge[::-1]})
     if spec.kind == "road_closure":
         return Constraints(removed=both)

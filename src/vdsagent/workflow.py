@@ -97,12 +97,6 @@ class TransferOutcome:
         write_json(path, self.to_dict())
 
 
-def is_executed(outcome: TransferOutcome) -> bool:
-    """True when the final attempt solved."""
-    return bool(outcome.attempts) and \
-        outcome.attempts[-1].stage_reached == "solved"
-
-
 def _attempt_pipeline(coder_output: str, env: TerminalEnv,
                       config: WorkflowConfig,
                       record: AttemptRecord) -> solver.Solution | None:

@@ -677,13 +677,11 @@ class TestSolve:
         edges = four_cycle_edges()
         assert min_walk(edges, 0, 2, forced=(3, 0)) == \
             (Fraction(4), (0, 3, 0, 1, 2))
-        cost, path = single(network_from(edges, range(4)), (0, 2),
-                            sv.PathRequirement("subpath", (3, 0)))
+        cost, path = single(network_from(edges, range(4)), (0, 2), (3, 0))
         assert (cost, path) == (4.0, (0, 3, 0, 1, 2))
 
     def test_subpath_concatenation_cost(self, grid_net):
-        cost, path = single(grid_net, (0, 14),
-                            sv.PathRequirement("subpath", (6, 10, 11)))
+        cost, path = single(grid_net, (0, 14), (6, 10, 11))
         assert cost == 74.0
         assert path[0] == 0 and path[-1] == 14
         assert any(path[i:i + 3] == (6, 10, 11) for i in range(len(path) - 2))
@@ -692,8 +690,7 @@ class TestSolve:
         edges = triangle_edges()
         del edges[(0, 2)]
         with pytest.raises(sv.SolveError) as exc:
-            single(network_from(edges, range(3)), (0, 2),
-                   sv.PathRequirement("subpath", (0, 2)))
+            single(network_from(edges, range(3)), (0, 2), (0, 2))
         assert exc.value.kind == "infeasible"
 
     def test_subpath_reuse_rejected(self):
@@ -701,32 +698,35 @@ class TestSolve:
         # must re-drive (1, 2), which binary edge variables cannot express
         edges = {(0, 1): 1, (1, 0): 1, (1, 2): 1, (2, 1): 1}
         with pytest.raises(sv.SolveError) as exc:
-            single(network_from(edges, range(3)), (0, 2),
-                   sv.PathRequirement("subpath", (2, 1)))
+            single(network_from(edges, range(3)), (0, 2), (2, 1))
         assert exc.value.kind == "degenerate_edge_reuse"
 
-    def test_exact_path_cost_and_validation(self, grid_lengths, grid_net):
-        cost, path = single(grid_net, (0, 2),
-                            sv.PathRequirement("exact", (0, 5, 6, 7, 2)))
-        assert Fraction(cost) == path_cost(grid_lengths, (0, 5, 6, 7, 2))
-        assert path == (0, 5, 6, 7, 2)
+    def test_exact_path_cost_and_validation(self, grid_lengths):
+        env = grid_env([("A", "T1", 0, 2)])
+        constraints = bound(
+            '  require_exact_path vehicle "A" [0, 5, 6, 7, 2]', env)
+        solution = solved(constraints, env)
+        assert Fraction(solution.costs["A"]) == \
+            path_cost(grid_lengths, (0, 5, 6, 7, 2))
+        assert solution.paths["A"] == (0, 5, 6, 7, 2)
 
-    def test_exact_path_endpoint_mismatch(self, grid_graph):
+    def test_exact_path_missing_edge(self):
+        env = grid_env([("A", "T1", 0, 2)])
+        constraints = bound('  require_exact_path vehicle "A" [0, 2]', env)
         with pytest.raises(sv.SolveError) as exc:
-            sv.solve_route(grid_graph, (0, 2),
-                           sv.PathRequirement("exact", (0, 1)), math.inf)
-        assert exc.value.kind == "bind_conflict"
-
-    def test_exact_path_missing_edge(self, grid_net):
-        with pytest.raises(sv.SolveError) as exc:
-            single(grid_net, (0, 2), sv.PathRequirement("exact", (0, 2)))
+            solved(constraints, env)
         assert exc.value.kind == "infeasible"
 
     def test_exact_path_edge_reuse(self):
         network = network_from({(0, 1): 1, (1, 0): 1}, range(2))
+        env = env_for(network, [("A", "T1", 0, 1)])
+        constraints = bound('  require_exact_path vehicle "A" [0, 1, 0, 1]',
+                            env)
         with pytest.raises(sv.SolveError) as exc:
-            single(network, (0, 1), sv.PathRequirement("exact", (0, 1, 0, 1)))
+            solved(constraints, env)
         assert exc.value.kind == "degenerate_edge_reuse"
+        assert exc.value.detail == \
+            "vehicle A: subpath solution reuses edge (0, 1)"
 
     def test_error_names_vehicle(self):
         with pytest.raises(sv.SolveError) as exc:
@@ -817,8 +817,7 @@ class TestSolve:
                                           None, math.inf)
             try:
                 forced_cost, _ = sv.solve_route(
-                    grid_graph, (source, target),
-                    sv.PathRequirement("subpath", (u, v)), math.inf)
+                    grid_graph, (source, target), (u, v), math.inf)
             except sv.SolveError:
                 continue
             assert forced_cost >= free_cost
@@ -876,8 +875,10 @@ class TestBind:
     def test_requirement_attached(self):
         env = grid_env([("A", "T1", 0, 14)])
         constraints = bound('  require_subpath task "T1" [6, 10, 11]', env)
-        assert constraints.required == {
-            "A": sv.PathRequirement("subpath", (6, 10, 11))}
+        assert constraints.required == {"A": (6, 10, 11)}
+        constraints = bound(
+            '  require_exact_path task "T1" [0, 5, 10, 11, 14]', env)
+        assert constraints.required == {"A": (0, 5, 10, 11, 14)}
 
     def test_unknown_vehicle(self):
         env = grid_env([("A", "T1", 0, 1)])
@@ -1111,8 +1112,7 @@ class TestConstraints:
         route = sv.scenario_constraints(
             ScenarioSpec("designated_route", task="T2", nodes=(6, 10, 11)),
             {"T1": "A", "T2": "B"})
-        assert route.required == {
-            "B": sv.PathRequirement("subpath", (6, 10, 11))}
+        assert route.required == {"B": (6, 10, 11)}
 
     def test_solve_walks_the_fleet_from_the_record(self, grid_lengths):
         env = grid_env([("A", "T1", 0, 14), ("B", "T2", 5, 7)])
@@ -1121,7 +1121,7 @@ class TestConstraints:
             fleet=FleetConfig(agvs=env.fleet.agvs + (Agv("C"),),
                               tasks=env.fleet.tasks),
             requirements=env.requirements)
-        requirement = sv.PathRequirement("subpath", (6, 10, 11))
+        requirement = (6, 10, 11)
         constraints = sv.Constraints(removed={(6, 7)},
                                      removed_for={"B": {(5, 6)}},
                                      required={"A": requirement})

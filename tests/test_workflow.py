@@ -27,7 +27,7 @@ class TestGoldenRun:
         outcome = run(env, seed_kb, GOLDEN_CLOSURE)
         assert outcome.status == "solved"
         assert outcome.iterations == 1
-        assert wf.is_executed(outcome)
+        assert outcome.attempts[-1].stage_reached == "solved"
         # extraction keeps the newline before the closing fence
         assert outcome.final_program == \
             inj.CORRECT_PROGRAMS["road_closure"] + "\n"
@@ -93,7 +93,7 @@ class TestExhaustion:
         outcome = run(env, seed_kb, helpers.stubborn_script())
         assert outcome.status == "exhausted"
         assert outcome.iterations == 3
-        assert not wf.is_executed(outcome)
+        assert outcome.attempts[-1].stage_reached != "solved"
         assert outcome.solution is None
         assert outcome.final_program is None
         # debugger runs after every failure except the last
@@ -231,9 +231,6 @@ class TestStageClassification:
         outcome = self.one_shot(env, seed_kb, inj.fenced(program))
         assert outcome.attempts[0].stage_reached == "solve"
         assert "infeasible" in outcome.attempts[0].error
-
-    def test_is_executed_empty_outcome(self):
-        assert not wf.is_executed(wf.TransferOutcome(status="exhausted"))
 
 
 class TestIterationBound:
