@@ -56,12 +56,7 @@ def _load_env(net: str | None, config: str | None,
 
 
 def _load_kb(path: str | None) -> KnowledgeBase:
-    if path is None:
-        return load_seed_kb()
-    try:
-        return load(path)
-    except FileNotFoundError as exc:
-        raise ConfigError(str(exc)) from exc
+    return load_seed_kb() if path is None else load(path)
 
 
 def _mock_script(spec: str) -> dict[str, Any] | None:
@@ -188,27 +183,23 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def cmd_kb(args: argparse.Namespace) -> int:
+    kb = _load_kb(args.kb)
     if args.kb_command == "list":
-        kb = _load_kb(args.kb)
         for p in kb.primitives:
             print(f"primitive {p.id} [{p.category}] {p.title}")
         for ex in kb.exemplars:
             first = ex.description.split("\n")[0]
             print(f"exemplar {ex.id}: {first}")
-        print(f"total: {len(kb.primitives)} primitives, "
-              f"{len(kb.exemplars)} exemplars")
-        return 0
-    # add
-    kb = _load_kb(args.kb)
-    data = _read_json(args.exemplar, "exemplar")
-    ex = Exemplar(
-        id=kb.next_exemplar_id() if data.get("id") is None else data["id"],
-        description=data.get("description"),
-        env_digest=data.get("env_digest", ""),
-        program=data.get("program"),
-    )
-    kb.append_exemplar(ex)
-    print(f"added exemplar {ex.id}")
+    else:  # add
+        data = _read_json(args.exemplar, "exemplar")
+        ex = Exemplar(
+            id=kb.next_exemplar_id() if data.get("id") is None else data["id"],
+            description=data.get("description"),
+            env_digest=data.get("env_digest", ""),
+            program=data.get("program"),
+        )
+        kb.append_exemplar(ex)
+        print(f"added exemplar {ex.id}")
     print(f"total: {len(kb.primitives)} primitives, "
           f"{len(kb.exemplars)} exemplars")
     return 0
@@ -299,10 +290,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except VdsAgentError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (VdsAgentError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -38,7 +38,7 @@ def read_json(text: str, what: str,
     with a message starting `<what>: `."""
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an over-long integer
         raise error(f"{what}: invalid JSON ({exc})") from exc
     except RecursionError as exc:
         raise error(f"{what}: invalid JSON (nested too deeply)") from exc

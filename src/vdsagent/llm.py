@@ -3,8 +3,10 @@
 Three roles call out to a language model: the modeler (turns
 requirements into a modeling scheme), the coder (turns the scheme into
 a program), and the debugger (turns a failure into a correction).
-Prompt rendering is deterministic; a section that exists but is empty
-renders as '(none)' rather than disappearing.
+Each role's prompt is one list of sections: the role's own head, then
+the shared correction instructions and the role's instruction.
+Rendering is deterministic; a section that exists but is empty renders
+as '(none)' rather than disappearing.
 """
 
 from __future__ import annotations
@@ -105,6 +107,14 @@ _SYSTEM = {
     ),
 }
 
+# the closing section of each role's prompt
+_INSTRUCTION = {
+    "modeler": "Think step by step, then write the modeling scheme.",
+    "coder": "Emit exactly one fenced vds-dsl block with the complete "
+             "program.",
+    "debugger": "Reply with a DIAGNOSIS: section and a CORRECTION: section.",
+}
+
 
 def _section(title: str, body: str) -> str:
     return f"## {title}\n{body.strip() if body.strip() else '(none)'}"
@@ -143,11 +153,15 @@ def render_prompt(role: str, ctx: PromptContext,
                                or ctx.error_message is None):
         raise MissingContext("debugger prompt requires a failed program "
                              "and an error message")
-    sections: list[str] = []
-    if role in ("modeler", "coder"):
-        sections.append(_section("Terminal environment", ctx.env_digest))
-        sections.append(_section("Operational requirements",
-                                 _numbered(ctx.requirements)))
+    requirements = _section("Operational requirements",
+                            _numbered(ctx.requirements))
+    if role == "debugger":
+        sections = [requirements,
+                    _section("Failed program", ctx.failed_program),
+                    _section("Error message", ctx.error_message)]
+    else:
+        sections = [_section("Terminal environment", ctx.env_digest),
+                    requirements]
         if ctx.retrieved is not None:
             sections.append(_section("Modeling primitives",
                                      _primitives_body(ctx.retrieved)))
@@ -155,27 +169,9 @@ def render_prompt(role: str, ctx: PromptContext,
                                      _exemplars_body(ctx.retrieved)))
         if role == "coder":
             sections.append(_section("Modeling scheme", ctx.scheme))
-        sections.append(_section("Correction instructions",
-                                 _numbered(ctx.corrections)))
-        if role == "modeler":
-            sections.append(_section(
-                "Instruction",
-                "Think step by step, then write the modeling scheme."))
-        else:
-            sections.append(_section(
-                "Instruction",
-                "Emit exactly one fenced vds-dsl block with the complete "
-                "program."))
-    else:
-        sections.append(_section("Operational requirements",
-                                 _numbered(ctx.requirements)))
-        sections.append(_section("Failed program", ctx.failed_program))
-        sections.append(_section("Error message", ctx.error_message))
-        sections.append(_section("Correction instructions",
-                                 _numbered(ctx.corrections)))
-        sections.append(_section(
-            "Instruction",
-            "Reply with a DIAGNOSIS: section and a CORRECTION: section."))
+    sections.append(_section("Correction instructions",
+                             _numbered(ctx.corrections)))
+    sections.append(_section("Instruction", _INSTRUCTION[role]))
     bundle = PromptBundle(role=role, system=_SYSTEM[role],
                           user="\n\n".join(sections))
     tokens = (len(bundle.system) + len(bundle.user)) / 4.0
@@ -216,14 +212,20 @@ class Backend(Protocol):
 
 ScriptEntry = Any  # str, or {"if_contains": ..., "then": ..., "else": ...}
 
+_CONDITIONAL = ("if_contains", "then", "else")
+
+
+def _valid_entry(entry: ScriptEntry) -> bool:
+    return isinstance(entry, str) or (
+        isinstance(entry, dict)
+        and all(isinstance(entry.get(key), str) for key in _CONDITIONAL))
+
 
 def _resolve_entry(entry: ScriptEntry, bundle: PromptBundle) -> str:
     if isinstance(entry, str):
         return entry
-    if isinstance(entry, dict) and {"if_contains", "then", "else"} <= set(entry):
-        haystack = bundle.system + "\n" + bundle.user
-        return entry["then"] if entry["if_contains"] in haystack else entry["else"]
-    raise ConfigError(f"bad mock script entry: {entry!r}")
+    haystack = bundle.system + "\n" + bundle.user
+    return entry["then"] if entry["if_contains"] in haystack else entry["else"]
 
 
 class MockBackend:
@@ -231,17 +233,29 @@ class MockBackend:
 
     The script maps each role to a list of responses consumed in call
     order.  An entry is either a string or a conditional object
-    {"if_contains": s, "then": a, "else": b} evaluated against the
-    rendered prompt.  Scoped to a single transfer run; do not share one
+    {"if_contains": s, "then": a, "else": b} of strings, evaluated
+    against the rendered prompt.  The whole script is checked when the
+    backend is built.  Scoped to a single transfer run; do not share one
     instance across runs.
     """
 
     def __init__(self, script: Mapping[str, list[ScriptEntry]]):
+        if not isinstance(script, dict):
+            raise ConfigError(f"mock script: expected an object, got "
+                              f"{type(script).__name__}")
         unknown = set(script) - set(ROLES)
         if unknown:
             raise ConfigError(f"mock script has unknown roles: {sorted(unknown)}")
-        if not all(isinstance(entries, list) for entries in script.values()):
-            raise ConfigError("mock script roles must map to lists of responses")
+        for role, entries in script.items():
+            if not isinstance(entries, list):
+                raise ConfigError(
+                    "mock script roles must map to lists of responses")
+            for index, entry in enumerate(entries):
+                if not _valid_entry(entry):
+                    raise ConfigError(
+                        f"mock script {role}[{index}]: expected a string or "
+                        f"an object with string {', '.join(_CONDITIONAL)}, "
+                        f"got {entry!r}")
         self._script = {role: list(script.get(role, ())) for role in ROLES}
         self._consumed = {role: 0 for role in ROLES}
 

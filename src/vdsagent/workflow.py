@@ -141,19 +141,16 @@ def run_transfer(env: TerminalEnv, kb: KnowledgeBase,
     """Run one transfer; all agent failures are encoded in the outcome."""
     config.validate()
     run_start = time.monotonic()
-    digest = env_digest(env)
-    requirements = env.requirements.texts
     retrieved = None
     if config.use_rag:
         retrieved = retrieve(kb, query_terms(env), config.k_shot)
+    ctx = llm.PromptContext(env_digest=env_digest(env),
+                            requirements=env.requirements.texts,
+                            retrieved=retrieved)
     outcome = TransferOutcome(status="exhausted", retrieved=retrieved)
-    corrections: list[str] = []
     for index in range(1, config.max_iterations + 1):
         attempt_start = time.monotonic()
         record = AttemptRecord(index=index, stage_reached="extract")
-        ctx = llm.PromptContext(
-            env_digest=digest, requirements=requirements,
-            retrieved=retrieved, corrections=tuple(corrections))
         record.modeler_prompt, record.modeler_scheme = _ask(
             backend, "modeler", ctx, config)
         record.coder_prompt, record.coder_output = _ask(
@@ -161,22 +158,21 @@ def run_transfer(env: TerminalEnv, kb: KnowledgeBase,
             dataclasses.replace(ctx, scheme=record.modeler_scheme), config)
         solution = _attempt_pipeline(record.coder_output, env, config, record)
         if solution is None and index < config.max_iterations:
-            debug_ctx = llm.PromptContext(
-                env_digest=digest, requirements=requirements,
-                corrections=tuple(corrections),
-                failed_program=record.extracted_program or record.coder_output,
-                error_message=record.error)
             record.debugger_prompt, record.debugger_output = _ask(
-                backend, "debugger", debug_ctx, config)
+                backend, "debugger", dataclasses.replace(
+                    ctx, error_message=record.error,
+                    failed_program=(record.extracted_program
+                                    or record.coder_output)), config)
             record.reflection = llm.parse_reflection(record.debugger_output)
-            corrections.append(record.reflection.correction)
+            ctx = dataclasses.replace(ctx, corrections=(
+                *ctx.corrections, record.reflection.correction))
         record.wall_time = time.monotonic() - attempt_start
         outcome.attempts.append(record)
         if solution is not None:
             outcome.status = "solved"
             outcome.final_program = record.extracted_program
             outcome.solution = solution
-            description = " ".join(requirements)
+            description = " ".join(ctx.requirements)
             # blank requirements make no usable exemplar; the solve stands
             if config.accumulate_on_success and description.strip():
                 accumulate(kb, env, record.extracted_program, description)

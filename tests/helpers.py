@@ -14,6 +14,9 @@ renderer and tokenizer.  `reference_parse` is the earlier program parser,
 which builds a `_Token` per token and tracks line and column as it goes;
 it returns `dsl`'s AST classes and raises `dsl.DslError`, and
 `parse_outcome` turns either parser's result or error into one value.
+`reference_render_prompt` is the earlier prompt renderer, which wrote
+the shared sections once in each of its two branches, and
+`render_outcome` turns either renderer's bundle or error into one value.
 `fraction_exact_p` is the exact r x c test computed with multivariate
 hypergeometric probabilities as Fractions, over tables filled cell by
 cell.  `network_from` turns a link -> length dict into the `Network`
@@ -32,9 +35,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Iterable, Iterator, Sequence
 
-from vdsagent import dsl
+from vdsagent import dsl, llm
 from vdsagent import solver as sv
 from vdsagent.env import Edge, Network, Node, TerminalEnv
+from vdsagent.errors import ConfigError
 from vdsagent.injection import MODELER_SCHEMES, RECOVERY_REFLECTION
 from vdsagent.knowledge import BM25_B, BM25_K1
 
@@ -501,6 +505,73 @@ def parse_outcome(parse, text: str) -> dsl.ModelAst | dsl.DslError:
         return parse(text)
     except dsl.DslError as exc:
         return exc
+
+
+def reference_render_prompt(role: str, ctx: llm.PromptContext,
+                            token_budget: int = llm.DEFAULT_TOKEN_BUDGET
+                            ) -> llm.PromptBundle:
+    """The earlier `llm.render_prompt`, which writes the requirements,
+    correction and instruction sections once in each of its two
+    branches."""
+    if role not in llm.ROLES:
+        raise ConfigError(f"unknown role '{role}'")
+    if role == "coder" and ctx.scheme is None:
+        raise llm.MissingContext("coder prompt requires a modeling scheme")
+    if role == "debugger" and (ctx.failed_program is None
+                               or ctx.error_message is None):
+        raise llm.MissingContext("debugger prompt requires a failed program "
+                                 "and an error message")
+    sections: list[str] = []
+    if role in ("modeler", "coder"):
+        sections.append(llm._section("Terminal environment", ctx.env_digest))
+        sections.append(llm._section("Operational requirements",
+                                     llm._numbered(ctx.requirements)))
+        if ctx.retrieved is not None:
+            sections.append(llm._section("Modeling primitives",
+                                         llm._primitives_body(ctx.retrieved)))
+            sections.append(llm._section("Worked exemplars",
+                                         llm._exemplars_body(ctx.retrieved)))
+        if role == "coder":
+            sections.append(llm._section("Modeling scheme", ctx.scheme))
+        sections.append(llm._section("Correction instructions",
+                                     llm._numbered(ctx.corrections)))
+        if role == "modeler":
+            sections.append(llm._section(
+                "Instruction",
+                "Think step by step, then write the modeling scheme."))
+        else:
+            sections.append(llm._section(
+                "Instruction",
+                "Emit exactly one fenced vds-dsl block with the complete "
+                "program."))
+    else:
+        sections.append(llm._section("Operational requirements",
+                                     llm._numbered(ctx.requirements)))
+        sections.append(llm._section("Failed program", ctx.failed_program))
+        sections.append(llm._section("Error message", ctx.error_message))
+        sections.append(llm._section("Correction instructions",
+                                     llm._numbered(ctx.corrections)))
+        sections.append(llm._section(
+            "Instruction",
+            "Reply with a DIAGNOSIS: section and a CORRECTION: section."))
+    bundle = llm.PromptBundle(role=role, system=llm._SYSTEM[role],
+                              user="\n\n".join(sections))
+    tokens = (len(bundle.system) + len(bundle.user)) / 4.0
+    if tokens > token_budget:
+        raise llm.PromptBudgetExceeded(
+            f"{role} prompt needs ~{tokens:.0f} tokens, budget is "
+            f"{token_budget}")
+    return bundle
+
+
+def render_outcome(render, role: str, ctx: llm.PromptContext,
+                   token_budget: int) -> llm.PromptBundle | tuple[type, str]:
+    """The bundle `render(...)` returns, or the type and message of the
+    error it raises."""
+    try:
+        return render(role, ctx, token_budget)
+    except (ConfigError, llm.MissingContext, llm.PromptBudgetExceeded) as exc:
+        return type(exc), str(exc)
 
 
 def fraction_exact_p(table: Sequence[Sequence[int]]) -> float:

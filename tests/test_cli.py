@@ -62,6 +62,13 @@ class TestRun:
         assert main(["run", "--llm", f"mock:{script}"]) == 2
         assert "must map to lists" in capsys.readouterr().err
 
+    def test_script_entry_not_a_string_exits_two(self, script_path, capsys):
+        script = script_path("bad.json", {"modeler": [
+            {"if_contains": 3, "then": "a", "else": "b"}]})
+        assert main(["run", "--llm", f"mock:{script}"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: mock script modeler[0]: ")
+
     def test_no_self_correction_flag(self, script_path, capsys):
         script = script_path("stubborn.json", helpers.stubborn_script())
         code = main(["run", "--llm", f"mock:{script}", "--no-self-correction"])
@@ -177,6 +184,18 @@ class TestBench:
         user = trace["attempts"][0]["modeler_prompt"]["user"]
         assert "## Modeling primitives" in user
         assert "## Worked exemplars\n(none)" in user
+
+    def test_scenario_script_not_an_object_exits_two(self, tmp_path,
+                                                     script_path, capsys):
+        suite = script_path("suite.json", {
+            "scenarios": ["road_closure"], "levels": ["engineer"],
+            "instances_per_scenario": 1})
+        script = script_path("bad.json", {"scenarios": {"road_closure": 5}})
+        code = main(["bench", "--suite", suite, "--llm", f"mock:{script}",
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: mock script: expected an object, got int\n")
 
     def test_suite_file_unknown_key(self, tmp_path, script_path, capsys):
         suite = script_path("suite.json", {"scenarois": ["road_closure"]})

@@ -13,7 +13,10 @@ from vdsagent.knowledge import load
 
 MALFORMED = {"invalid": ("{nodes: [}", "invalid JSON"),
              "list": ("[1, 2]", "expected an object, got list"),
-             "nested": ("[" * 200000, "invalid JSON (nested too deeply)")}
+             "nested": ("[" * 200000, "invalid JSON (nested too deeply)"),
+             # more digits than Python converts to an int
+             "long-int": ('{"nodes": [{"id": ' + "9" * 5000 + "}]}",
+                          "invalid JSON (Exceeds the limit")}
 
 # bytes that do not decode as UTF-8, for the documents read from a file
 NON_UTF8 = (b"\xff\xfe{}", "not UTF-8")

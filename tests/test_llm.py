@@ -1,9 +1,12 @@
 import pytest
 import requests
+from hypothesis import given, settings, strategies as st
 
+from helpers import reference_render_prompt, render_outcome
 from vdsagent import dsl, llm
 from vdsagent.errors import ConfigError
-from vdsagent.knowledge import Exemplar, Primitive, RetrievedContext
+from vdsagent.knowledge import (PRIMITIVE_CATEGORIES, Exemplar, Primitive,
+                                RetrievedContext)
 
 DIGEST = "nodes: 3\nedges: 4\nagvs: 1\ntasks: 1"
 
@@ -15,6 +18,26 @@ RETRIEVED = RetrievedContext(
                         "constraints {\n  flow_balance all\n}"),),
     scores=(1.5,),
 )
+
+
+# empty and whitespace-only strings as well as arbitrary text
+TEXT = st.sampled_from(("", " ", "\n\t ")) | st.text(max_size=30)
+OPTIONAL_TEXT = st.none() | TEXT
+PRIMITIVES = st.builds(Primitive, TEXT, st.sampled_from(PRIMITIVE_CATEGORIES),
+                       TEXT, TEXT)
+EXEMPLARS = st.builds(Exemplar, TEXT, TEXT, TEXT, TEXT)
+RETRIEVED_CONTEXTS = st.builds(
+    lambda primitives, exemplars: RetrievedContext(
+        primitives=tuple(primitives), exemplars=tuple(exemplars),
+        scores=(1.0,) * len(exemplars)),
+    st.lists(PRIMITIVES, max_size=3), st.lists(EXEMPLARS, max_size=3))
+CONTEXTS = st.builds(
+    llm.PromptContext, env_digest=TEXT,
+    requirements=st.lists(TEXT, max_size=3).map(tuple),
+    retrieved=st.none() | RETRIEVED_CONTEXTS,
+    corrections=st.lists(TEXT, max_size=3).map(tuple),
+    scheme=OPTIONAL_TEXT, failed_program=OPTIONAL_TEXT,
+    error_message=OPTIONAL_TEXT)
 
 
 def ctx(**kwargs):
@@ -84,6 +107,23 @@ class TestRenderPrompt:
         with pytest.raises(llm.PromptBudgetExceeded):
             llm.render_prompt("modeler", ctx(), token_budget=10)
         llm.render_prompt("modeler", ctx(), token_budget=100000)
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference_renderer(self, data):
+        # every role, including an unknown one, and every missing context
+        role = data.draw(st.sampled_from(llm.ROLES + ("retriever",)))
+        context = data.draw(CONTEXTS)
+        reference = render_outcome(reference_render_prompt, role, context,
+                                   10 ** 9)
+        tokens = 0
+        if isinstance(reference, llm.PromptBundle):
+            tokens = (len(reference.system) + len(reference.user)) // 4
+        # a budget on either side of the prompt's size
+        budget = tokens + data.draw(st.integers(-2, 2))
+        assert (render_outcome(llm.render_prompt, role, context, budget)
+                == render_outcome(reference_render_prompt, role, context,
+                                  budget))
 
 
 class TestParseReflection:
@@ -159,9 +199,23 @@ class TestMockBackend:
         assert mock.complete(bundle_for("coder", "nothing")) == "A"
 
     def test_bad_entry(self):
-        mock = llm.MockBackend({"coder": [{"then": "A"}]})
         with pytest.raises(ConfigError):
-            mock.complete(bundle_for("coder"))
+            llm.MockBackend({"coder": [{"then": "A"}]})
+
+    # every entry is checked when the script is read, not when it is used
+    @pytest.mark.parametrize("entry", (
+        3, None, ["a"], {"if_contains": 3, "then": "a", "else": "b"},
+        {"if_contains": "x", "then": "a", "else": None}))
+    def test_bad_entry_names_role_and_index(self, entry):
+        with pytest.raises(ConfigError) as exc:
+            llm.MockBackend({"modeler": ["ok"], "debugger": ["ok", entry]})
+        assert str(exc.value).startswith("mock script debugger[1]: ")
+
+    @pytest.mark.parametrize("script", (5, "text", ["modeler"], None))
+    def test_script_not_an_object(self, script):
+        with pytest.raises(ConfigError) as exc:
+            llm.MockBackend(script)
+        assert "expected an object" in str(exc.value)
 
 
 class FakeResponse:
