@@ -228,7 +228,17 @@ BackendProvider = Callable[[str, TerminalEnv, ScenarioSpec], Backend]
 
 
 def scripted_provider(suite_script: dict[str, Any]) -> BackendProvider:
-    """Fresh single-run mock per instance, resolved from a suite script."""
+    """Fresh single-run mock per instance, resolved from a suite script.
+
+    The script's `instances` and `scenarios` must be objects, checked
+    here; each run script they resolve to is checked by `MockBackend`.
+    """
+    for key in ("instances", "scenarios"):
+        entries = suite_script.get(key, {})
+        if not isinstance(entries, dict):
+            raise ConfigError(f"mock script {key}: expected an object, got "
+                              f"{type(entries).__name__}")
+
     def make(instance_id: str, env: TerminalEnv,
              spec: ScenarioSpec) -> Backend:
         return MockBackend(resolve_run_script(suite_script, instance_id,

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import re
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from functools import cache, cached_property
 from pathlib import Path
@@ -24,6 +24,10 @@ SCENARIO_KINDS = ("road_closure", "forbidden_edge_vehicle", "designated_route")
 
 DEFAULT_ENV_DIR = Path(__file__).resolve().parent / "data" / "default_env"
 DEFAULT_NETWORK_FILE = DEFAULT_ENV_DIR / "network.json"
+
+# A full digest longer than this many characters (2,000 tokens, an eighth
+# of the default prompt budget) is shown to the experts as an excerpt.
+FULL_DIGEST_CHARS = 8000
 
 # Byte table mapping everything but 0-9 and a-z to a space.
 _SEPARATORS = bytes(c if 48 <= c <= 57 or 97 <= c <= 122 else 32
@@ -160,13 +164,8 @@ class Network:
 
     @cached_property
     def digest(self) -> str:
-        """The `nodes (…)` and `edges (…)` lines of `env_digest`."""
-        node_bits = [f"{n.id}:{n.type}" if n.type else str(n.id)
-                     for n in sorted(self.nodes, key=lambda n: n.id)]
-        edge_bits = [f"{e.source}->{e.target}:{e.length:g}" for e in
-                     sorted(self.edges, key=lambda e: (e.source, e.target))]
-        return (f"nodes ({len(node_bits)}): " + " ".join(node_bits) + "\n"
-                + f"edges ({len(edge_bits)}): " + " ".join(edge_bits))
+        """The `nodes (…)` and `edges (…)` lines of the full digest."""
+        return _network_lines(self.nodes, self.edges)
 
     @cached_property
     def digest_terms(self) -> frozenset[str]:
@@ -227,12 +226,8 @@ class FleetConfig:
 
     @cached_property
     def digest(self) -> str:
-        """The `agvs (…)` and `tasks (…)` lines of `env_digest`."""
-        agv_bits = [_tagged(a.id, a.attributes) for a in self.agvs]
-        task_bits = [_tagged(f"{t.id}:{t.agv}:{t.origin}->{t.destination}",
-                             t.attributes) for t in self.tasks]
-        return (f"agvs ({len(agv_bits)}): " + " ".join(agv_bits) + "\n"
-                + f"tasks ({len(task_bits)}): " + " ".join(task_bits))
+        """The `agvs (…)` and `tasks (…)` lines of the full digest."""
+        return _fleet_lines(self.agvs, self.tasks)
 
     @cached_property
     def digest_terms(self) -> frozenset[str]:
@@ -244,6 +239,27 @@ def _tagged(bit: str, attributes: dict[str, Any]) -> str:
     """`bit[k=v,...]` over the sorted attribute keys, or `bit` if none."""
     attrs = ",".join(f"{k}={attributes[k]}" for k in sorted(attributes))
     return f"{bit}[{attrs}]" if attrs else bit
+
+
+def _line(name: str, bits: list[str]) -> str:
+    return f"{name} ({len(bits)}): " + " ".join(bits)
+
+
+def _network_lines(nodes: Iterable[Node], edges: Iterable[Edge]) -> str:
+    """The `nodes` line sorted by id, then the `edges` line by link."""
+    node_bits = [f"{n.id}:{n.type}" if n.type else str(n.id)
+                 for n in sorted(nodes, key=lambda n: n.id)]
+    edge_bits = [f"{e.source}->{e.target}:{e.length:g}" for e in
+                 sorted(edges, key=lambda e: (e.source, e.target))]
+    return _line("nodes", node_bits) + "\n" + _line("edges", edge_bits)
+
+
+def _fleet_lines(agvs: Iterable[Agv], tasks: Iterable[Task]) -> str:
+    """The `agvs` and `tasks` lines, each in the order given."""
+    agv_bits = [_tagged(a.id, a.attributes) for a in agvs]
+    task_bits = [_tagged(f"{t.id}:{t.agv}:{t.origin}->{t.destination}",
+                         t.attributes) for t in tasks]
+    return _line("agvs", agv_bits) + "\n" + _line("tasks", task_bits)
 
 
 @dataclass(frozen=True)
@@ -271,6 +287,51 @@ class TerminalEnv:
                     raise CrossReferenceError(
                         f"task {t.id} references unknown node {node}"
                     )
+
+    @cached_property
+    def digest(self) -> str:
+        """`env_digest(self)`, rendered once per environment."""
+        network, fleet = self.network, self.fleet
+        if len(network.digest) + 1 + len(fleet.digest) <= FULL_DIGEST_CHARS:
+            return network.digest + "\n" + fleet.digest
+        text = "\n".join(self.requirements.texts)
+        nodes = _named_nodes(text, network)
+        out, into = network.adjacency
+        links = {e for n in nodes
+                 for e in out.get(n.id, ()) + into.get(n.id, ())}
+        vehicles = {a.id for a in fleet.agvs if _mentions(text, a.id)}
+        named = {t.id for t in fleet.tasks if _mentions(text, t.id)}
+        vehicles |= {t.agv for t in fleet.tasks if t.id in named}
+        agvs = [a for a in fleet.agvs if a.attributes or a.id in vehicles]
+        tasks = [t for t in fleet.tasks
+                 if t.attributes or t.id in named or t.agv in vehicles]
+        excerpt = (f"excerpt of {len(network.nodes)} nodes, "
+                   f"{len(network.edges)} edges, {len(fleet.agvs)} agvs and "
+                   f"{len(fleet.tasks)} tasks: the nodes the requirements "
+                   f"name, with their links, and the agvs and tasks they "
+                   f"name or that have attributes\n"
+                   + _network_lines(nodes, links) + "\n"
+                   + _fleet_lines(agvs, tasks))
+        # an empty `tasks` line ends in a space, which the prompt's section
+        # strips; a stored exemplar keeps exactly what the prompt showed
+        return excerpt.rstrip()
+
+
+def _named_nodes(text: str, network: Network) -> list[Node]:
+    """The nodes whose ids a digit run of `text` spells, read with and
+    without a leading '-'; a run longer than every id is skipped unread."""
+    digits = max((len(str(abs(n))) for n in network.node_ids), default=0)
+    ids = set()
+    for run in re.findall(r"-?[0-9]+", text):
+        if len(run.lstrip("-")) <= digits:
+            ids.update((int(run), abs(int(run))))
+    return [n for n in network.nodes if n.id in ids]
+
+
+def _mentions(text: str, ident: str) -> bool:
+    """Does `ident` occur in `text` with no word character either side?"""
+    return ident in text and re.search(
+        rf"(?<!\w){re.escape(ident)}(?!\w)", text) is not None
 
 
 @dataclass(frozen=True)
@@ -421,14 +482,23 @@ def default_network() -> Network:
 
 
 def env_digest(env: TerminalEnv) -> str:
-    """Compact deterministic text rendering of an environment.
+    """The environment as the experts see it, rendered once per `env`.
 
-    Used both inside prompts and as the `env_digest` field of stored
-    exemplars, so it must stay stable across runs.  Joins the digests
-    cached on the network and the fleet, which relies on the `attributes`
-    dicts never being mutated after construction (nothing here does).
+    Used both inside the modeler's and coder's prompts and as the
+    `env_digest` field of the exemplar a solved transfer stores, so it
+    must stay stable across runs.  When the full digest (the network's
+    `digest`, a newline, the fleet's `digest`) is at most
+    `FULL_DIGEST_CHARS` long, it is returned as is.  Otherwise the result
+    is an excerpt in the same notation: a counts line, then the nodes
+    that a digit run of the requirement texts names with all their in-
+    and out-links, then the AGVs and tasks that have attributes or whose
+    id the texts contain as a whole word (a named vehicle brings its
+    task, a named task its vehicle).  Retrieval (`knowledge.query_terms`)
+    and binding still read the full network and fleet.  Relies on the
+    `attributes` dicts never being mutated after construction (nothing
+    here does).
     """
-    return env.network.digest + "\n" + env.fleet.digest
+    return env.digest
 
 
 def _vehicle_number(vehicle_id: str) -> str:

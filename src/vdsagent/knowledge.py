@@ -64,6 +64,11 @@ class Primitive:
 
 @dataclass(frozen=True)
 class Exemplar:
+    """A worked example.  `env_digest` is the environment text its prompt
+    showed (`env.env_digest`: the full digest, or an excerpt on a large
+    yard); retrieval never reads it, prompts render it under
+    "Environment:"."""
+
     id: str
     description: str
     env_digest: str
@@ -304,8 +309,13 @@ class Index:
 
 
 def query_terms(env: TerminalEnv) -> set[str]:
-    """`set(tokenize(...))` of the newline-joined requirement texts and
-    `env_digest(env)`, from the digest terms cached on network and fleet."""
+    """`set(tokenize(...))` of the newline-joined requirement texts and the
+    full digest (`env.network.digest`, a newline, `env.fleet.digest`), from
+    the digest terms cached on network and fleet.
+
+    This is the full digest even where `env_digest(env)` is an excerpt, so
+    which exemplars a transfer retrieves, and their scores, do not depend
+    on the excerpt rule."""
     return set(tokenize("\n".join(env.requirements.texts))).union(
         env.network.digest_terms, env.fleet.digest_terms)
 

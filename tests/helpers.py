@@ -21,7 +21,8 @@ the shared sections once in each of its two branches, and
 hypergeometric probabilities as Fractions, over tables filled cell by
 cell.  `network_from` turns a link -> length dict into the `Network`
 the solver reads, so an expected value can come from the dict while the
-solver runs on the network.
+solver runs on the network; `grid_yard` builds a whole grid environment
+from it, and `excerpt_names` reads back what an `env_digest` lists.
 """
 
 from __future__ import annotations
@@ -37,7 +38,8 @@ from typing import Any, Iterable, Iterator, Sequence
 
 from vdsagent import dsl, llm
 from vdsagent import solver as sv
-from vdsagent.env import Edge, Network, Node, TerminalEnv
+from vdsagent.env import (Agv, Edge, FleetConfig, Network, Node,
+                          Requirements, Task, TerminalEnv)
 from vdsagent.errors import ConfigError
 from vdsagent.injection import MODELER_SCHEMES, RECOVERY_REFLECTION
 from vdsagent.knowledge import BM25_B, BM25_K1
@@ -193,6 +195,33 @@ def network_from(edges: EdgeMap, nodes: Iterable[int]) -> Network:
     return Network(nodes=tuple(Node(n) for n in nodes),
                    edges=tuple(Edge(u, v, w)
                                for (u, v), w in sorted(edges.items())))
+
+
+def grid_yard(side: int, fleet: int, texts: Sequence[str] = (),
+              seed: int = 0) -> TerminalEnv:
+    """A `grid_edges(side)` yard whose AGV-k carries task Tk between two
+    distinct nodes drawn from `seed`, under engineer-level `texts`."""
+    rng = random.Random(seed)
+    trips = [rng.sample(range(side * side), 2) for _ in range(fleet)]
+    return TerminalEnv(
+        network_from(grid_edges(side), range(side * side)),
+        FleetConfig(tuple(Agv(f"AGV-{k + 1}") for k in range(fleet)),
+                    tuple(Task(f"T{k + 1}", f"AGV-{k + 1}", o, d)
+                          for k, (o, d) in enumerate(trips))),
+        Requirements("engineer", tuple(texts)))
+
+
+def excerpt_names(digest: str) -> tuple[set, set, set, set]:
+    """The node ids, links, AGV ids and task ids an `env_digest` lists."""
+    *_, nodes, edges, agvs, tasks = digest.split("\n")
+
+    def bits(line: str) -> list[str]:
+        return line.partition(":")[2].split()
+    return ({int(b.split(":")[0]) for b in bits(nodes)},
+            {tuple(int(n) for n in b.rsplit(":", 1)[0].split("->"))
+             for b in bits(edges)},
+            {b.split("[")[0] for b in bits(agvs)},
+            {b.split(":")[0] for b in bits(tasks)})
 
 
 def path_heap_dijkstra(edges: EdgeMap, source: int,

@@ -197,6 +197,18 @@ class TestBench:
         assert capsys.readouterr().err == (
             "error: mock script: expected an object, got int\n")
 
+    @pytest.mark.parametrize("key", ["instances", "scenarios"])
+    def test_script_container_not_an_object_exits_two(self, tmp_path,
+                                                      script_path, capsys,
+                                                      key):
+        script = script_path("bad.json", {key: 5})
+        out = tmp_path / "out"
+        code = main(["bench", "--llm", f"mock:{script}", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: mock script {key}: expected an object, got int\n")
+        assert not out.exists()
+
     def test_suite_file_unknown_key(self, tmp_path, script_path, capsys):
         suite = script_path("suite.json", {"scenarois": ["road_closure"]})
         script = script_path("golden.json", inj.golden_script())

@@ -1,17 +1,22 @@
+import dataclasses
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import helpers
+from vdsagent import dsl
 from vdsagent.cli import (DEFAULT_CONFIG_FILE, DEFAULT_NETWORK_FILE,
                           DEFAULT_REQUIREMENTS_FILE)
-from vdsagent.env import (EXPERTISE_LEVELS, SCENARIO_KINDS, Agv, Edge,
-                          FleetConfig, Network, Node, Requirements,
+from vdsagent.env import (EXPERTISE_LEVELS, FULL_DIGEST_CHARS,
+                          SCENARIO_KINDS, Agv, Edge, FleetConfig, Network,
+                          Node, Requirements,
                           ScenarioSpec, Task, TerminalEnv, default_network,
                           env_digest, parse_environment, parse_fleet_config,
                           parse_network, parse_requirements, scenario_prompt)
 from vdsagent.errors import (CrossReferenceError, SchemaError,
                              UnknownCombination)
+from vdsagent.injection import correct_program
 from vdsagent.instances import generate_instances, with_level
 from vdsagent.solver import RoadGraph, shortest_path
 
@@ -333,6 +338,143 @@ class TestDigest:
             assert "digest" not in vars(second)
             assert second.digest == rendered
             assert "digest" in vars(second)
+
+    def test_large_yard_is_excerpted(self):
+        env = helpers.grid_yard(20, 100, ["Close the road from 21 to 22."])
+        full = env.network.digest + "\n" + env.fleet.digest
+        assert len(full) > FULL_DIGEST_CHARS
+        assert full == helpers.rendered_env_digest(env)
+        assert env_digest(env) != helpers.rendered_env_digest(env)
+        assert env_digest(env) is env_digest(env)
+
+
+def program_references(program):
+    """The node ids, links, vehicle ids and task ids `program` names."""
+    nodes, links, vehicles, tasks = set(), set(), set(), set()
+    for stmt in dsl.parse(program).statements:
+        if isinstance(stmt, (dsl.RemoveEdge, dsl.ForbidEdge)):
+            links.add((stmt.source, stmt.target))
+        elif isinstance(stmt, (dsl.RequireSubpath, dsl.RequireExactPath)):
+            links.update(zip(stmt.nodes, stmt.nodes[1:]))
+        subject = getattr(stmt, "subject", None)
+        if subject is not None:
+            (vehicles if subject.kind == "vehicle" else tasks).add(
+                subject.ident)
+    for link in links:
+        nodes.update(link)
+    return nodes, links, vehicles, tasks
+
+
+def fleet_of(*agv_ids):
+    return FleetConfig(tuple(Agv(a) for a in agv_ids), ())
+
+
+class TestExcerpt:
+    """Above `FULL_DIGEST_CHARS`, `env_digest` lists only what the
+    requirements name and what carries attributes."""
+
+    def test_size_rule_is_at_most(self):
+        # a lone vehicle's id pads the full digest to the limit, then past it
+        base = len(triangle().digest + "\n" + fleet_of("").digest)
+        for size, excerpted in ((FULL_DIGEST_CHARS, False),
+                                (FULL_DIGEST_CHARS + 1, True)):
+            env = TerminalEnv(triangle(), fleet_of("A" * (size - base)),
+                              Requirements("engineer", ()))
+            assert len(helpers.rendered_env_digest(env)) == size
+            assert (env_digest(env) != helpers.rendered_env_digest(env)) \
+                == excerpted
+
+    def test_exact_rendering(self):
+        nodes = (Node(0, "quay"), Node(1), Node(2, "yard"))
+        edges = (Edge(0, 1, 1), Edge(1, 0, 1.5), Edge(1, 2, 1), Edge(2, 1, 1))
+        agvs = tuple(Agv(f"AGV-{k}") for k in range(1, 401))
+        tasks = tuple(Task(f"T{k}", f"AGV-{k}", k % 3, (k + 1) % 3,
+                           {"hazard": 1} if k == 300 else {})
+                      for k in range(1, 401))
+        env = TerminalEnv(Network(nodes, edges), FleetConfig(agvs, tasks),
+                          Requirements("engineer", (
+                              "AGV-7 must avoid 0->1;", "mind T12.")))
+        assert env_digest(env) == (
+            "excerpt of 3 nodes, 4 edges, 400 agvs and 400 tasks: the nodes "
+            "the requirements name, with their links, and the agvs and tasks "
+            "they name or that have attributes\n"
+            "nodes (2): 0:quay 1\n"
+            "edges (4): 0->1:1 1->0:1.5 1->2:1 2->1:1\n"
+            "agvs (2): AGV-7 AGV-12\n"
+            "tasks (3): T7:AGV-7:1->2 T12:AGV-12:0->1 "
+            "T300:AGV-300:0->1[hazard=1]")
+
+    def test_empty_requirements(self):
+        env = helpers.grid_yard(20, 100)
+        assert env_digest(env).split("\n")[1:] == [
+            "nodes (0): ", "edges (0): ", "agvs (0): ", "tasks (0):"]
+
+    def test_id_followed_by_punctuation(self):
+        env = helpers.grid_yard(20, 100, ["Hold T3. Then release AGV-40,"])
+        _, _, agvs, tasks = helpers.excerpt_names(env_digest(env))
+        assert agvs == {"AGV-3", "AGV-40"}
+        assert tasks == {"T3", "T40"}
+
+    def test_ids_match_whole_words_only(self):
+        env = helpers.grid_yard(20, 100, ["AGV-10 and T100x are named"])
+        _, _, agvs, tasks = helpers.excerpt_names(env_digest(env))
+        assert agvs == {"AGV-10"} and tasks == {"T10"}
+
+    def test_long_digit_run_is_not_read(self):
+        text = "1" * 5000 + " then 12 and -" + "9" * 5000
+        env = helpers.grid_yard(20, 100, [text])
+        nodes, _, _, _ = helpers.excerpt_names(env_digest(env))
+        assert nodes == {12}
+
+    def test_negative_node_ids(self):
+        edges = {(u, v): 1 for u in range(-300, 299) for v in (u + 1,)}
+        edges.update({(v, u): 1 for u, v in list(edges)})
+        env = TerminalEnv(helpers.network_from(edges, range(-300, 300)),
+                          fleet_of(), Requirements("engineer", (
+                              "close (-5, -4)",)))
+        nodes, links, _, _ = helpers.excerpt_names(env_digest(env))
+        assert {-5, -4, 4, 5} == nodes
+        assert {(-5, -4), (-4, -5), (-6, -5), (-4, -3)} <= links
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_names_everything_the_program_references(self, data):
+        side = data.draw(st.integers(15, 22), "side")
+        fleet = data.draw(st.integers(1, 60), "fleet")
+        kind = data.draw(st.sampled_from(SCENARIO_KINDS), "kind")
+        links = sorted(helpers.grid_edges(side))
+        k = data.draw(st.integers(1, fleet), "vehicle")
+        if kind == "designated_route":
+            walk = [data.draw(st.integers(0, side * side - 1), "start")]
+            for _ in range(data.draw(st.integers(1, 5), "hops")):
+                steps = [v for u, v in links if u == walk[-1]
+                         and v not in walk]
+                if not steps:
+                    break
+                walk.append(data.draw(st.sampled_from(steps)))
+            spec = ScenarioSpec(kind, task=f"T{k}", nodes=tuple(walk))
+        else:
+            edge = data.draw(st.sampled_from(links), "edge")
+            spec = ScenarioSpec(kind, edge=edge, vehicle=(
+                f"AGV-{k}" if kind == "forbidden_edge_vehicle" else None))
+        base = helpers.grid_yard(side, fleet,
+                                 seed=data.draw(st.integers(0, 99), "seed"))
+        # attributes as generate_instances sets them
+        agvs = tuple(dataclasses.replace(a, attributes={"over_height": True})
+                     if a.id == spec.vehicle else a for a in base.fleet.agvs)
+        tasks = tuple(
+            dataclasses.replace(t, attributes={"dangerous_goods": True})
+            if t.id == spec.task else t for t in base.fleet.tasks)
+        want = program_references(correct_program(spec))
+        assert want[1]  # every scenario's program names a link
+        for level in EXPERTISE_LEVELS:
+            env = TerminalEnv(base.network, FleetConfig(agvs, tasks),
+                              Requirements(level, (
+                                  scenario_prompt(spec, level),)))
+            digest = env_digest(env)
+            assert digest != helpers.rendered_env_digest(env)
+            for got, needed in zip(helpers.excerpt_names(digest), want):
+                assert needed <= got
 
 
 class TestScenarioPrompt:

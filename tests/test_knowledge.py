@@ -649,7 +649,8 @@ class TestQueryTerms:
     fleet, rank and score exactly as tokenizing its whole query text."""
 
     def assert_equivalent(self, kb, env, k=3):
-        text = "\n".join(env.requirements.texts) + "\n" + env_digest(env)
+        text = "\n".join((*env.requirements.texts, env.network.digest,
+                          env.fleet.digest))
         terms = kn.query_terms(env)
         assert terms == set(kn.tokenize(text))
         ctx = kn.retrieve(kb, terms, k)

@@ -7,6 +7,8 @@ from hypothesis import given, settings, strategies as st
 import helpers
 from vdsagent import injection as inj
 from vdsagent import llm, solver, workflow as wf
+from vdsagent.env import (FULL_DIGEST_CHARS, ScenarioSpec, env_digest,
+                          scenario_prompt)
 from vdsagent.errors import ConfigError
 
 GOLDEN_CLOSURE = inj.golden_script()["scenarios"]["road_closure"]
@@ -279,3 +281,58 @@ class TestTrace:
         env, _ = closure_instance
         outcome = run(env, seed_kb, helpers.stubborn_script())
         json.dumps(outcome.to_dict())
+
+
+def closed_yard(side, fleet, u, v, seed=0):
+    """A grid yard with the two-way road (u, v) closed, and the script
+    that answers it correctly on the first attempt."""
+    spec = ScenarioSpec("road_closure", edge=(u, v))
+    env = helpers.grid_yard(side, fleet, [scenario_prompt(spec, "engineer")],
+                            seed)
+    script = {"modeler": [inj.modeler_scheme(spec)],
+              "coder": [inj.fenced(inj.correct_program(spec))],
+              "debugger": []}
+    return env, spec, script
+
+
+def environment_section(bundle):
+    return bundle.user.split("## Terminal environment\n", 1)[1].split(
+        "\n\n## Operational requirements\n", 1)[0]
+
+
+class TestLargeYard:
+    """Prompts show an excerpt of a yard too large to show whole."""
+
+    def test_1600_node_yard_solves_under_default_budget(self, seed_kb):
+        env, spec, script = closed_yard(40, 30, 820, 821)
+        assert len(helpers.rendered_env_digest(env)) / 4 > \
+            llm.DEFAULT_TOKEN_BUDGET
+        outcome = run(env, seed_kb, script)
+        assert outcome.status == "solved" and outcome.iterations == 1
+        assert outcome.solution.objective == \
+            solver.oracle_solve(env, spec).objective
+
+    def test_kshot_three_from_accumulated_yards(self, seed_kb):
+        for seed, (u, v) in enumerate(((21, 22), (105, 125), (377, 378))):
+            env, _, script = closed_yard(20, 100, u, v, seed)
+            config = wf.WorkflowConfig(k_shot=0)  # accumulates when solved
+            assert run_with_config(env, seed_kb, script, config).accumulated
+        env, _, script = closed_yard(20, 100, 250, 251, seed=3)
+        outcome = run(env, seed_kb, script, k_shot=3)
+        assert outcome.status == "solved"
+        assert {e.id for e in outcome.retrieved.exemplars} == \
+            {e.id for e in seed_kb.exemplars[-3:]}
+        user = outcome.attempts[0].modeler_prompt.user
+        assert user.count("\nEnvironment:\nexcerpt of 400 nodes") == 3
+
+    def test_stored_digest_is_the_prompt_environment(self, seed_kb):
+        env, _, script = closed_yard(20, 100, 21, 22)
+        config = wf.WorkflowConfig()
+        outcome = run_with_config(env, seed_kb, script, config)
+        assert outcome.accumulated
+        stored = seed_kb.exemplars[-1].env_digest
+        assert stored == environment_section(
+            outcome.attempts[-1].modeler_prompt)
+        assert stored == env_digest(env)
+        assert len(stored) < FULL_DIGEST_CHARS < len(
+            env.network.digest + "\n" + env.fleet.digest)
