@@ -22,10 +22,9 @@ from typing import Any, Callable
 from .env import (EXPERTISE_LEVELS, SCENARIO_KINDS, ScenarioSpec,
                   TerminalEnv)
 from .errors import ConfigError, VdsAgentError
-from .injection import instance_id, resolve_run_script
-from .instances import generate_instances, with_level
+from .instances import generate_instances, instance_id, with_level
 from .knowledge import KnowledgeBase, accumulate
-from .llm import Backend, MockBackend
+from .llm import ROLES, Backend, MockBackend
 from .solver import DEFAULT_TIME_LIMIT, oracle_solve
 from .stats import DegenerateTable, exact_test
 from .workflow import TransferOutcome, WorkflowConfig, run_transfer
@@ -230,19 +229,44 @@ BackendProvider = Callable[[str, TerminalEnv, ScenarioSpec], Backend]
 def scripted_provider(suite_script: dict[str, Any]) -> BackendProvider:
     """Fresh single-run mock per instance, resolved from a suite script.
 
-    The script's `instances` and `scenarios` must be objects, checked
-    here; each run script they resolve to is checked by `MockBackend`.
+    A suite script drives the whole benchmark from one JSON document:
+
+        {"scenarios": {<kind>: {"modeler": [...], "coder": [...], ...}},
+         "instances": {<instance id>: {...}},
+         "default":   {...}}
+
+    Instance entries win over scenario entries, which win over the
+    default; a document that is itself a run script (the `MockBackend`
+    format) serves every instance.  Every run script is checked here,
+    before any transfer runs, and an error names its entry.
     """
+    if set(ROLES) & set(suite_script):
+        MockBackend(suite_script)
+        return lambda instance_id, env, spec: MockBackend(suite_script)
+    scripts = {}
     for key in ("instances", "scenarios"):
         entries = suite_script.get(key, {})
         if not isinstance(entries, dict):
             raise ConfigError(f"mock script {key}: expected an object, got "
                               f"{type(entries).__name__}")
+        scripts.update((f"{key}.{name}", v) for name, v in entries.items())
+    if "default" in suite_script:
+        scripts["default"] = suite_script["default"]
+    for entry, script in scripts.items():
+        try:
+            MockBackend(script)
+        except ConfigError as exc:
+            raise ConfigError(f"mock script {entry}"
+                              + str(exc).removeprefix("mock script")) from exc
 
     def make(instance_id: str, env: TerminalEnv,
              spec: ScenarioSpec) -> Backend:
-        return MockBackend(resolve_run_script(suite_script, instance_id,
-                                              spec.kind))
+        for entry in (f"instances.{instance_id}", f"scenarios.{spec.kind}",
+                      "default"):
+            if entry in scripts:
+                return MockBackend(scripts[entry])
+        raise ConfigError(f"suite script has no entry for instance "
+                          f"{instance_id}")
     return make
 
 

@@ -136,10 +136,7 @@ def _resolve_suite(args: argparse.Namespace) -> SuiteConfig:
         kwargs["k_shot"] = args.kshot
     if args.ablation is not None:
         kwargs["ablation"] = args.ablation
-    try:
-        suite = SuiteConfig(**kwargs)
-    except TypeError as exc:
-        raise ConfigError(f"bad suite settings: {exc}") from exc
+    suite = SuiteConfig(**kwargs)
     suite.validate()
     return suite
 

@@ -291,6 +291,9 @@ class TerminalEnv:
     @cached_property
     def digest(self) -> str:
         """`env_digest(self)`, rendered once per environment."""
+        return self._render().rstrip()
+
+    def _render(self) -> str:
         network, fleet = self.network, self.fleet
         if len(network.digest) + 1 + len(fleet.digest) <= FULL_DIGEST_CHARS:
             return network.digest + "\n" + fleet.digest
@@ -305,16 +308,13 @@ class TerminalEnv:
         agvs = [a for a in fleet.agvs if a.attributes or a.id in vehicles]
         tasks = [t for t in fleet.tasks
                  if t.attributes or t.id in named or t.agv in vehicles]
-        excerpt = (f"excerpt of {len(network.nodes)} nodes, "
-                   f"{len(network.edges)} edges, {len(fleet.agvs)} agvs and "
-                   f"{len(fleet.tasks)} tasks: the nodes the requirements "
-                   f"name, with their links, and the agvs and tasks they "
-                   f"name or that have attributes\n"
-                   + _network_lines(nodes, links) + "\n"
-                   + _fleet_lines(agvs, tasks))
-        # an empty `tasks` line ends in a space, which the prompt's section
-        # strips; a stored exemplar keeps exactly what the prompt showed
-        return excerpt.rstrip()
+        return (f"excerpt of {len(network.nodes)} nodes, "
+                f"{len(network.edges)} edges, {len(fleet.agvs)} agvs and "
+                f"{len(fleet.tasks)} tasks: the nodes the requirements "
+                f"name, with their links, and the agvs and tasks they "
+                f"name or that have attributes\n"
+                + _network_lines(nodes, links) + "\n"
+                + _fleet_lines(agvs, tasks))
 
 
 def _named_nodes(text: str, network: Network) -> list[Node]:
@@ -488,15 +488,16 @@ def env_digest(env: TerminalEnv) -> str:
     `env_digest` field of the exemplar a solved transfer stores, so it
     must stay stable across runs.  When the full digest (the network's
     `digest`, a newline, the fleet's `digest`) is at most
-    `FULL_DIGEST_CHARS` long, it is returned as is.  Otherwise the result
-    is an excerpt in the same notation: a counts line, then the nodes
-    that a digit run of the requirement texts names with all their in-
-    and out-links, then the AGVs and tasks that have attributes or whose
-    id the texts contain as a whole word (a named vehicle brings its
-    task, a named task its vehicle).  Retrieval (`knowledge.query_terms`)
-    and binding still read the full network and fleet.  Relies on the
-    `attributes` dicts never being mutated after construction (nothing
-    here does).
+    `FULL_DIGEST_CHARS` long, it is returned.  Otherwise the result is
+    an excerpt in the same notation: a counts line, then the nodes that
+    a digit run of the requirement texts names with all their in- and
+    out-links, then the AGVs and tasks that have attributes or whose id
+    the texts contain as a whole word (a named vehicle brings its task,
+    a named task its vehicle).  Either is right-stripped as the prompt's
+    section is, so a stored exemplar holds what the prompt showed.
+    Retrieval (`knowledge.query_terms`) and binding still read the full
+    network and fleet.  Relies on the `attributes` dicts never being
+    mutated after construction (nothing here does).
     """
     return env.digest
 

@@ -1,16 +1,8 @@
 """Builders for scripted mock-backend suites.
 
-A suite script drives the whole benchmark from one JSON document:
-
-    {"scenarios": {<kind>: {"modeler": [...], "coder": [...], ...}},
-     "instances": {<instance id>: {...}},
-     "default":   {...}}
-
-Instance entries win over scenario entries, which win over the default;
-a document that is itself a flat {"modeler": ..., "coder": ...} object
-acts as the default for every instance.  Entries may be conditional
-({"if_contains", "then", "else"}), which is how RAG-dependent behavior
-is expressed without a live model.
+Each builder returns a suite script, the document that
+`bench.scripted_provider` reads, checks and resolves to one run script
+per benchmark instance; its docstring describes the format.
 
 Besides the all-correct golden suite, `fault_injection_script` builds
 the documented misinterpretation fixture: two road-closure instances
@@ -25,7 +17,7 @@ from typing import Any
 
 from .env import SCENARIO_KINDS, ScenarioSpec, TerminalEnv
 from .errors import ConfigError
-from .instances import fixed_scenario, generate_instances
+from .instances import fixed_scenario, generate_instances, instance_id
 from .solver import oracle_solve, solve, bind
 from . import dsl
 
@@ -92,10 +84,6 @@ ONE_WAY_CLOSURE_PROGRAM = _program(
 
 def fenced(program: str) -> str:
     return _FENCE.format(program)
-
-
-def instance_id(kind: str, index: int, level: str) -> str:
-    return f"{kind}-{index:02d}-{level}"
 
 
 def _answer(kind: str, program: str) -> dict[str, Any]:
@@ -220,19 +208,3 @@ def ablation_script(seed: int = 42) -> dict[str, Any]:
     overrides = {instance_id(kind, 0, "scientist"): recovery_script(kind)
                  for kind in CORRECT_PROGRAMS}
     return {"scenarios": scenarios, "instances": overrides}
-
-
-def resolve_run_script(suite_script: dict[str, Any], instance: str,
-                       kind: str) -> dict[str, Any]:
-    """The single-run script for one benchmark instance."""
-    if {"modeler", "coder", "debugger"} & set(suite_script):
-        return suite_script
-    by_instance = suite_script.get("instances", {})
-    if instance in by_instance:
-        return by_instance[instance]
-    by_scenario = suite_script.get("scenarios", {})
-    if kind in by_scenario:
-        return by_scenario[kind]
-    if "default" in suite_script:
-        return suite_script["default"]
-    raise ConfigError(f"suite script has no entry for instance {instance}")

@@ -42,6 +42,10 @@ def fixed_scenario(kind: str) -> ScenarioSpec:
     return _FIXED_SPECS[kind]
 
 
+def instance_id(kind: str, index: int, level: str) -> str:
+    return f"{kind}-{index:02d}-{level}"
+
+
 def generate_instances(seed: int, kind: str,
                        count: int) -> list[tuple[TerminalEnv, ScenarioSpec]]:
     """Generate `count` instances, phrased at engineer level (`with_level`

@@ -11,7 +11,7 @@ from vdsagent import bench, dsl, injection as inj, llm, solver
 from vdsagent import workflow as wf
 from vdsagent.env import FleetConfig, Network
 from vdsagent.errors import ConfigError
-from vdsagent.instances import generate_instances
+from vdsagent.instances import fixed_scenario, generate_instances
 from vdsagent.knowledge import load_seed_kb
 
 
@@ -211,27 +211,54 @@ class TestProviders:
 
 
 class TestResolveRunScript:
-    def test_flat_script_is_its_own_default(self):
-        flat = {"modeler": ["m"], "coder": ["c"]}
-        assert inj.resolve_run_script(flat, "any-id", "road_closure") is flat
+    """`scripted_provider` resolves each instance's run script."""
 
-    def test_precedence_instance_over_scenario_over_default(self):
-        doc = {
+    @staticmethod
+    def modeler_reply(provider, instance, env, kind):
+        backend = provider(instance, env, fixed_scenario(kind))
+        return backend.complete(
+            llm.PromptBundle(role="modeler", system="s", user="u"))
+
+    def test_flat_script_is_its_own_default(self, closure_instance):
+        env, _ = closure_instance
+        provider = bench.scripted_provider({"modeler": ["m"], "coder": ["c"]})
+        for instance, kind in (("any-id", "road_closure"),
+                               ("designated_route-00-engineer",
+                                "designated_route")):
+            assert self.modeler_reply(provider, instance, env, kind) == "m"
+
+    def test_precedence_instance_over_scenario_over_default(
+            self, closure_instance):
+        env, _ = closure_instance
+        provider = bench.scripted_provider({
             "default": {"modeler": ["d"]},
             "scenarios": {"road_closure": {"modeler": ["s"]}},
             "instances": {"road_closure-01-engineer": {"modeler": ["i"]}},
-        }
-        assert inj.resolve_run_script(
-            doc, "road_closure-01-engineer", "road_closure")["modeler"] == ["i"]
-        assert inj.resolve_run_script(
-            doc, "road_closure-00-engineer", "road_closure")["modeler"] == ["s"]
-        assert inj.resolve_run_script(
-            doc, "designated_route-00-engineer",
-            "designated_route")["modeler"] == ["d"]
+        })
+        assert self.modeler_reply(provider, "road_closure-01-engineer", env,
+                                  "road_closure") == "i"
+        assert self.modeler_reply(provider, "road_closure-00-engineer", env,
+                                  "road_closure") == "s"
+        assert self.modeler_reply(provider, "designated_route-00-engineer",
+                                  env, "designated_route") == "d"
 
-    def test_no_entry_raises(self):
-        with pytest.raises(ConfigError):
-            inj.resolve_run_script({"scenarios": {}}, "x", "road_closure")
+    @pytest.mark.parametrize("doc, entry", [
+        ({"instances": {"road_closure-00-scientist": 5}},
+         "instances.road_closure-00-scientist: expected an object"),
+        ({"scenarios": {"designated_route": {"coder": ["c"], "critic": []}}},
+         "scenarios.designated_route has unknown roles: ['critic']"),
+        ({"default": {"debugger": [None]}}, "default debugger[0]: "),
+    ], ids=["instances", "scenarios", "default"])
+    def test_bad_entry_named_when_provider_is_made(self, doc, entry):
+        with pytest.raises(ConfigError) as exc:
+            bench.scripted_provider(doc)
+        assert str(exc.value).startswith(f"mock script {entry}")
+
+    def test_no_entry_raises(self, closure_instance):
+        env, spec = closure_instance
+        provider = bench.scripted_provider({"scenarios": {}})
+        with pytest.raises(ConfigError, match="for instance x$"):
+            provider("x", env, spec)
 
 
 def small_suite(**kwargs):

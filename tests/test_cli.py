@@ -195,7 +195,21 @@ class TestBench:
                      "--out", str(tmp_path / "out")])
         assert code == 2
         assert capsys.readouterr().err == (
-            "error: mock script: expected an object, got int\n")
+            "error: mock script scenarios.road_closure: expected an object, "
+            "got int\n")
+
+    def test_bad_instance_script_exits_before_any_transfer(
+            self, tmp_path, script_path, capsys):
+        doc = inj.golden_script()
+        doc["instances"] = {"designated_route-00-engineer": {"coder": [5]}}
+        script = script_path("bad.json", doc)
+        out = tmp_path / "out"
+        code = main(["bench", "--llm", f"mock:{script}", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(
+            "error: mock script instances.designated_route-00-engineer "
+            "coder[0]: expected a string")
+        assert not (out / "traces").exists()
 
     @pytest.mark.parametrize("key", ["instances", "scenarios"])
     def test_script_container_not_an_object_exits_two(self, tmp_path,
@@ -495,6 +509,23 @@ class TestConsoleScript:
                               text=True, timeout=60)
         assert proc.returncode == 0
         assert "classic-dispatch" in proc.stdout
+
+
+class TestImports:
+    def test_cli_does_not_load_the_fixture_builders(self):
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import vdsagent
+        src = str(Path(vdsagent.__file__).resolve().parent.parent)
+        code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+                "import vdsagent.cli; "
+                "print('vdsagent.injection' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", code, src],
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
 
 
 class TestArgparse:

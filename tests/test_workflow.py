@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 import helpers
 from vdsagent import injection as inj
 from vdsagent import llm, solver, workflow as wf
-from vdsagent.env import (FULL_DIGEST_CHARS, ScenarioSpec, env_digest,
-                          scenario_prompt)
+from vdsagent.env import (FULL_DIGEST_CHARS, FleetConfig, ScenarioSpec,
+                          env_digest, scenario_prompt)
 from vdsagent.errors import ConfigError
 
 GOLDEN_CLOSURE = inj.golden_script()["scenarios"]["road_closure"]
@@ -164,6 +164,16 @@ class TestAccumulation:
         assert outcome.status == "solved"
         assert not outcome.accumulated
         assert len(seed_kb.exemplars) == before
+
+    def test_stored_digest_of_empty_fleet_is_the_prompt_environment(
+            self, closure_instance, seed_kb):
+        env, _ = closure_instance
+        env = dataclasses.replace(env, fleet=FleetConfig((), ()))
+        config = wf.WorkflowConfig(accumulate_on_success=True)
+        outcome = run_with_config(env, seed_kb, GOLDEN_CLOSURE, config)
+        assert outcome.accumulated
+        assert seed_kb.exemplars[-1].env_digest == environment_section(
+            outcome.attempts[-1].modeler_prompt)
 
     def test_failure_never_accumulates(self, closure_instance, seed_kb):
         env, _ = closure_instance
