@@ -226,6 +226,9 @@ def _stats_block(results: list[InstanceResult], levels: tuple[str, ...],
 BackendProvider = Callable[[str, TerminalEnv, ScenarioSpec], Backend]
 
 
+_SUITE_SCRIPT_KEYS = ("instances", "scenarios", "default")
+
+
 def scripted_provider(suite_script: dict[str, Any]) -> BackendProvider:
     """Fresh single-run mock per instance, resolved from a suite script.
 
@@ -237,21 +240,14 @@ def scripted_provider(suite_script: dict[str, Any]) -> BackendProvider:
 
     Instance entries win over scenario entries, which win over the
     default; a document that is itself a run script (the `MockBackend`
-    format) serves every instance.  Every run script is checked here,
-    before any transfer runs, and an error names its entry.
+    format) serves every instance.  Any other top-level key is an
+    error.  Every run script is checked here, before any transfer runs,
+    and an error names its entry.
     """
-    if set(ROLES) & set(suite_script):
+    if _is_run_script(suite_script):
         MockBackend(suite_script)
         return lambda instance_id, env, spec: MockBackend(suite_script)
-    scripts = {}
-    for key in ("instances", "scenarios"):
-        entries = suite_script.get(key, {})
-        if not isinstance(entries, dict):
-            raise ConfigError(f"mock script {key}: expected an object, got "
-                              f"{type(entries).__name__}")
-        scripts.update((f"{key}.{name}", v) for name, v in entries.items())
-    if "default" in suite_script:
-        scripts["default"] = suite_script["default"]
+    scripts = _run_scripts(suite_script)
     for entry, script in scripts.items():
         try:
             MockBackend(script)
@@ -261,13 +257,54 @@ def scripted_provider(suite_script: dict[str, Any]) -> BackendProvider:
 
     def make(instance_id: str, env: TerminalEnv,
              spec: ScenarioSpec) -> Backend:
-        for entry in (f"instances.{instance_id}", f"scenarios.{spec.kind}",
-                      "default"):
-            if entry in scripts:
-                return MockBackend(scripts[entry])
-        raise ConfigError(f"suite script has no entry for instance "
-                          f"{instance_id}")
+        return MockBackend(scripts[_entry(scripts, instance_id, spec.kind)])
     return make
+
+
+def check_suite_script(suite_script: dict[str, Any],
+                       suite: SuiteConfig) -> None:
+    """Raise ConfigError unless every instance of the suite has a run script.
+
+    The error names the first instance, in run order, that the script
+    gives no entry, so a partial script fails before any transfer runs.
+    """
+    if _is_run_script(suite_script):
+        return
+    scripts = _run_scripts(suite_script)
+    for kind in suite.scenarios:
+        for index in range(suite.instances_per_scenario):
+            for level in suite.levels:
+                _entry(scripts, instance_id(kind, index, level), kind)
+
+
+def _is_run_script(document: dict[str, Any]) -> bool:
+    return bool(set(ROLES) & set(document))
+
+
+def _run_scripts(suite_script: dict[str, Any]) -> dict[str, Any]:
+    """Each run script of a suite script, keyed by its entry path."""
+    unknown = sorted(set(suite_script) - set(_SUITE_SCRIPT_KEYS))
+    if unknown:
+        raise ConfigError(f"mock script: unknown keys {unknown} (a suite "
+                          f"script holds only {', '.join(_SUITE_SCRIPT_KEYS)})")
+    scripts = {}
+    for key in ("instances", "scenarios"):
+        entries = suite_script.get(key, {})
+        if not isinstance(entries, dict):
+            raise ConfigError(f"mock script {key}: expected an object, got "
+                              f"{type(entries).__name__}")
+        scripts.update((f"{key}.{name}", v) for name, v in entries.items())
+    if "default" in suite_script:
+        scripts["default"] = suite_script["default"]
+    return scripts
+
+
+def _entry(scripts: dict[str, Any], instance_id: str, kind: str) -> str:
+    """The entry path whose run script serves this instance."""
+    for entry in (f"instances.{instance_id}", f"scenarios.{kind}", "default"):
+        if entry in scripts:
+            return entry
+    raise ConfigError(f"suite script has no entry for instance {instance_id}")
 
 
 def shared_provider(backend: Backend) -> BackendProvider:

@@ -5,15 +5,27 @@ see GRAMMAR below.  Comments run from '#' to end of line.  `remove_edge`
 and `forbid_edge` are directional: a bidirectional closure takes two
 statements.
 
-One regex pass turns the text into (kind, text, offset) tuples; the
-offset is the token's index in the text.  No token carries a line or
-column: a DslError works them out from the offset when it is raised.
+One regex match per token turns the text into (kind, text, offset)
+tuples; each match also takes the whitespace and comments before its
+token, and the offset is the token's index in the text.  No token
+carries a line or column: a DslError works them out from the offset
+when it is raised.
+
+`parse` keeps a process-wide memo of the last PARSE_MEMO_SIZE texts it
+parsed, because the same program text is parsed again and again: a
+suite sends one program text for every instance of a scenario kind,
+and every stored exemplar is checked again on append and on load.
+Sharing one AST between callers is safe because the AST is immutable
+(frozen dataclasses holding tuples).  The memo holds at most
+PARSE_MEMO_SIZE texts and their ASTs, so its memory is bounded by that
+many times the largest program text.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import ClassVar, Union
 
 from .errors import VdsAgentError
@@ -37,6 +49,11 @@ OBJECTIVE = "total_travel_time"
 # interpreter setting allows (sys.int_info.str_digits_check_threshold),
 # so the bound holds even where that limit is switched off.
 MAX_INT_DIGITS = 640
+
+# Distinct program texts `parse` remembers.  A suite parses a handful of
+# distinct texts (three for the golden suite, five with the ablation
+# script), so this leaves room for a knowledge base's own programs.
+PARSE_MEMO_SIZE = 256
 
 
 class DslError(VdsAgentError):
@@ -144,13 +161,14 @@ class ModelAst:
 
 
 _TOKEN_RE = re.compile(
-    r"""[ \t\r\n]+
-      | \#[^\n]*
-      | (?P<int>\d+)
-      | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-      | "(?P<string>[^"\n]*)"
-      | (?P<punct>[()\[\]{},])
-      | (?P<bad>.)
+    r"""(?P<skip>(?:[ \t\r\n]+ | \#[^\n]*)*)
+        (?: (?P<int>\d+)
+          | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+          | "(?P<string>[^"\n]*)"
+          | (?P<punct>[()\[\]{},])
+          | (?P<eof>\Z)
+          | (?P<bad>.)
+        )
     """,
     re.VERBOSE | re.DOTALL,
 )
@@ -170,11 +188,11 @@ class _Parser:
         for match in _TOKEN_RE.finditer(text):
             kind = match.lastgroup
             if kind == "bad":
-                raise _parse_error(text, match.start(),
+                raise _parse_error(text, match.end("skip"),
                                    f"unexpected character {match[kind]!r}")
-            if kind:
-                self.tokens.append((kind, match[kind], match.start()))
-        self.tokens.append(("eof", "", len(text)))
+            self.tokens.append((kind, match[kind], match.end("skip")))
+            if kind == "eof":
+                break
         self.pos = 0
 
     def next(self) -> tuple[str, str, int]:
@@ -263,7 +281,19 @@ class _Parser:
 
 
 def parse(text: str) -> ModelAst:
-    """Parse program text; raises DslError (kind 'parse') with position."""
+    """Parse program text; raises DslError (kind 'parse') with position.
+
+    An equal text parsed before returns the same AST object, which is
+    safe to share because the AST is immutable.  The memo keeps the
+    last PARSE_MEMO_SIZE texts that parsed, so it holds at most that
+    many times the largest program text; a text that fails is not kept
+    and raises a fresh DslError each time.
+    """
+    return _parse(text)
+
+
+@lru_cache(maxsize=PARSE_MEMO_SIZE)
+def _parse(text: str) -> ModelAst:
     return _Parser(text).parse_program()
 
 

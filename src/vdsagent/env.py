@@ -237,8 +237,10 @@ class FleetConfig:
 
 def _tagged(bit: str, attributes: dict[str, Any]) -> str:
     """`bit[k=v,...]` over the sorted attribute keys, or `bit` if none."""
+    if not attributes:
+        return bit
     attrs = ",".join(f"{k}={attributes[k]}" for k in sorted(attributes))
-    return f"{bit}[{attrs}]" if attrs else bit
+    return f"{bit}[{attrs}]"
 
 
 def _line(name: str, bits: list[str]) -> str:

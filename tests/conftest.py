@@ -2,9 +2,16 @@ import json
 
 import pytest
 
+from vdsagent import dsl
 from vdsagent.env import default_network
 from vdsagent.instances import generate_instances
 from vdsagent.knowledge import load_seed_kb
+
+
+@pytest.fixture(autouse=True)
+def empty_parse_memo():
+    """Every test starts with `dsl.parse` remembering no text."""
+    dsl._parse.cache_clear()
 
 
 @pytest.fixture(scope="session")

@@ -254,6 +254,23 @@ class TestResolveRunScript:
             bench.scripted_provider(doc)
         assert str(exc.value).startswith(f"mock script {entry}")
 
+    @pytest.mark.parametrize("doc, missing", [
+        ({"modeler": ["m"]}, None),
+        ({"default": {}}, None),
+        ({"scenarios": {"road_closure": {}, "designated_route": {}}},
+         "forbidden_edge_vehicle-00-technician"),
+        ({"instances": {"road_closure-00-technician": {}}},
+         "road_closure-00-engineer"),
+    ], ids=["flat", "default", "scenario-missing", "instances-only"])
+    def test_check_suite_script_names_first_uncovered_instance(
+            self, doc, missing):
+        suite = bench.SuiteConfig()
+        if missing is None:
+            bench.check_suite_script(doc, suite)
+            return
+        with pytest.raises(ConfigError, match=f"for instance {missing}$"):
+            bench.check_suite_script(doc, suite)
+
     def test_no_entry_raises(self, closure_instance):
         env, spec = closure_instance
         provider = bench.scripted_provider({"scenarios": {}})
@@ -304,6 +321,15 @@ class TestRunBenchmark:
         assert ids[0] == "road_closure-00-technician"
         assert len(set(ids)) == 9
         json.dumps(report)  # report must be a plain JSON document
+
+    def test_golden_suite_parses_three_distinct_programs(self, seed_kb):
+        # 45 transfers and 45 stored exemplars parse one program per kind
+        before = dsl._parse.cache_info()
+        bench.run_benchmark(bench.SuiteConfig(seed=3), seed_kb,
+                            bench.scripted_provider(inj.golden_script()))
+        after = dsl._parse.cache_info()
+        assert after.misses - before.misses == 3
+        assert after.hits - before.hits == 87
 
     def test_traces_written_and_referenced(self, tmp_path):
         report = bench.run_benchmark(

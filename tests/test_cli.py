@@ -223,6 +223,32 @@ class TestBench:
             f"error: mock script {key}: expected an object, got int\n")
         assert not out.exists()
 
+    def test_unknown_script_key_exits_two(self, tmp_path, script_path,
+                                          capsys):
+        doc = inj.fault_injection_script()
+        doc["instnces"] = doc.pop("instances")
+        script = script_path("typo.json", doc)
+        out = tmp_path / "out"
+        code = main(["bench", "--llm", f"mock:{script}", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: mock script: unknown keys ['instnces'] (a suite script "
+            "holds only instances, scenarios, default)\n")
+        assert not out.exists()
+
+    def test_missing_script_entry_exits_before_any_transfer(
+            self, tmp_path, script_path, capsys):
+        closure = inj.golden_script()["scenarios"]["road_closure"]
+        script = script_path("partial.json",
+                             {"scenarios": {"road_closure": closure}})
+        out = tmp_path / "out"
+        code = main(["bench", "--llm", f"mock:{script}", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: suite script has no entry for instance "
+            "forbidden_edge_vehicle-00-technician\n")
+        assert not out.exists()
+
     def test_suite_file_unknown_key(self, tmp_path, script_path, capsys):
         suite = script_path("suite.json", {"scenarois": ["road_closure"]})
         script = script_path("golden.json", inj.golden_script())

@@ -72,8 +72,10 @@ class TestParse:
          "expected a statement or '}', got end of input"),
         (HEAD + "constraints {\n  remove_edge (" + "9" * 641 + ", 7)\n}", 4, 16,
          "integer literal of 641 digits is too long"),
+        (HEAD + "constraints {\n  forbid_edge \"v\" (1, 2)\n}", 4, 15,
+         "expected 'vehicle' or 'task', got 'v'"),
     ], ids=["keyword", "after-comment", "crlf", "tab", "bad-char", "eof",
-            "long-int"])
+            "long-int", "string"])
     def test_error_position_reported(self, text, line, column, fragment):
         with pytest.raises(dsl.DslError) as exc:
             dsl.parse(text)
@@ -245,6 +247,34 @@ class TestRender:
     def test_round_trip_property(self, rng):
         ast = random_ast(rng)
         assert dsl.parse(dsl.render(ast)) == ast
+
+
+class TestMemo:
+    def test_equal_text_returns_the_same_ast(self):
+        first = dsl.parse(CLEAN)
+        equal = CLEAN[:7] + CLEAN[7:]
+        assert equal is not CLEAN
+        assert dsl.parse(equal) is first
+
+    def test_failing_text_raises_afresh_and_is_not_kept(self):
+        text = HEAD + "constraints {\n  remove_edge (1 2)\n}\n"
+        errors = []
+        for _ in range(2):
+            with pytest.raises(dsl.DslError) as exc:
+                dsl.parse(text)
+            errors.append(exc.value)
+        assert errors[0] is not errors[1]
+        assert errors[0] == errors[1]
+        assert (errors[0].line, errors[0].column) == (4, 18)
+        assert dsl._parse.cache_info().currsize == 0
+
+    def test_memo_holds_at_most_its_size(self):
+        for i in range(dsl.PARSE_MEMO_SIZE + 10):
+            dsl.parse(f"model m{i}\nobjective minimize total_travel_time\n"
+                      f"constraints {{ flow_balance all }}\n")
+        info = dsl._parse.cache_info()
+        assert info.misses == dsl.PARSE_MEMO_SIZE + 10
+        assert info.currsize <= dsl.PARSE_MEMO_SIZE
 
 
 class TestFuzz:
