@@ -24,7 +24,7 @@ from .env import (EXPERTISE_LEVELS, SCENARIO_KINDS, ScenarioSpec,
 from .errors import ConfigError, VdsAgentError
 from .instances import generate_instances, instance_id, with_level
 from .knowledge import KnowledgeBase, accumulate
-from .llm import ROLES, Backend, MockBackend
+from .llm import ROLES, Backend, BackendExhausted, MockBackend
 from .solver import DEFAULT_TIME_LIMIT, oracle_solve
 from .stats import DegenerateTable, exact_test
 from .workflow import TransferOutcome, WorkflowConfig, run_transfer
@@ -192,15 +192,15 @@ def _grouped(results: list[InstanceResult],
     return {name: rs for name, rs in groups.items() if rs}
 
 
-def _stats_block(results: list[InstanceResult], levels: tuple[str, ...],
+def _stats_block(by_level: dict[str, list[InstanceResult]],
                  max_iterations: int) -> dict[str, Any]:
     """Exact test of each outcome against expertise level.
 
-    The iterations table has one column per count 1..max_iterations, so
-    its shape follows the workflow config, not the data.
+    `by_level` holds the non-empty groups in suite level order.  The
+    iterations table has one column per count 1..max_iterations, so its
+    shape follows the workflow config, not the data.
     """
-    by_level = _grouped(results, lambda r: r.level, levels)
-    groups = [by_level[lv] for lv in levels if lv in by_level]
+    groups = list(by_level.values())
     if len(groups) < 2:
         return {}
     tables = {
@@ -241,13 +241,27 @@ def scripted_provider(suite_script: dict[str, Any]) -> BackendProvider:
     Instance entries win over scenario entries, which win over the
     default; a document that is itself a run script (the `MockBackend`
     format) serves every instance.  Any other top-level key is an
-    error.  Every run script is checked here, before any transfer runs,
-    and an error names its entry.
+    error.  Every run script is checked here, and an error names its
+    entry.  Making the backend of an instance that no entry covers
+    raises ConfigError; `run_benchmark` makes every backend before its
+    first transfer, so a partial script fails before any transfer runs.
     """
-    if _is_run_script(suite_script):
+    if set(ROLES) & set(suite_script):
         MockBackend(suite_script)
         return lambda instance_id, env, spec: MockBackend(suite_script)
-    scripts = _run_scripts(suite_script)
+    unknown = sorted(set(suite_script) - set(_SUITE_SCRIPT_KEYS))
+    if unknown:
+        raise ConfigError(f"mock script: unknown keys {unknown} (a suite "
+                          f"script holds only {', '.join(_SUITE_SCRIPT_KEYS)})")
+    scripts = {}  # run script by entry path
+    for key in ("instances", "scenarios"):
+        entries = suite_script.get(key, {})
+        if not isinstance(entries, dict):
+            raise ConfigError(f"mock script {key}: expected an object, got "
+                              f"{type(entries).__name__}")
+        scripts.update((f"{key}.{name}", v) for name, v in entries.items())
+    if "default" in suite_script:
+        scripts["default"] = suite_script["default"]
     for entry, script in scripts.items():
         try:
             MockBackend(script)
@@ -257,54 +271,13 @@ def scripted_provider(suite_script: dict[str, Any]) -> BackendProvider:
 
     def make(instance_id: str, env: TerminalEnv,
              spec: ScenarioSpec) -> Backend:
-        return MockBackend(scripts[_entry(scripts, instance_id, spec.kind)])
+        for entry in (f"instances.{instance_id}", f"scenarios.{spec.kind}",
+                      "default"):
+            if entry in scripts:
+                return MockBackend(scripts[entry])
+        raise ConfigError(
+            f"suite script has no entry for instance {instance_id}")
     return make
-
-
-def check_suite_script(suite_script: dict[str, Any],
-                       suite: SuiteConfig) -> None:
-    """Raise ConfigError unless every instance of the suite has a run script.
-
-    The error names the first instance, in run order, that the script
-    gives no entry, so a partial script fails before any transfer runs.
-    """
-    if _is_run_script(suite_script):
-        return
-    scripts = _run_scripts(suite_script)
-    for kind in suite.scenarios:
-        for index in range(suite.instances_per_scenario):
-            for level in suite.levels:
-                _entry(scripts, instance_id(kind, index, level), kind)
-
-
-def _is_run_script(document: dict[str, Any]) -> bool:
-    return bool(set(ROLES) & set(document))
-
-
-def _run_scripts(suite_script: dict[str, Any]) -> dict[str, Any]:
-    """Each run script of a suite script, keyed by its entry path."""
-    unknown = sorted(set(suite_script) - set(_SUITE_SCRIPT_KEYS))
-    if unknown:
-        raise ConfigError(f"mock script: unknown keys {unknown} (a suite "
-                          f"script holds only {', '.join(_SUITE_SCRIPT_KEYS)})")
-    scripts = {}
-    for key in ("instances", "scenarios"):
-        entries = suite_script.get(key, {})
-        if not isinstance(entries, dict):
-            raise ConfigError(f"mock script {key}: expected an object, got "
-                              f"{type(entries).__name__}")
-        scripts.update((f"{key}.{name}", v) for name, v in entries.items())
-    if "default" in suite_script:
-        scripts["default"] = suite_script["default"]
-    return scripts
-
-
-def _entry(scripts: dict[str, Any], instance_id: str, kind: str) -> str:
-    """The entry path whose run script serves this instance."""
-    for entry in (f"instances.{instance_id}", f"scenarios.{kind}", "default"):
-        if entry in scripts:
-            return entry
-    raise ConfigError(f"suite script has no entry for instance {instance_id}")
 
 
 def shared_provider(backend: Backend) -> BackendProvider:
@@ -319,6 +292,13 @@ def run_benchmark(suite: SuiteConfig, kb: KnowledgeBase,
                   trace_dir: str | Path | None = None) -> dict[str, Any]:
     """Run the suite and build the report document.
 
+    The suite is set up whole before its first transfer: every instance
+    is generated, its oracle solved and its backend made, so an error
+    there (such as a suite script with no entry for some instance)
+    raises before any transfer runs or any trace is written.  A scripted
+    backend that runs out of responses raises `BackendExhausted` with
+    the instance id in front of its message.
+
     The knowledge base is snapshotted at suite start, so accumulation
     from one instance cannot leak into another's retrieval unless
     learn_during_run is set.  Accumulation goes to the caller's base
@@ -328,11 +308,7 @@ def run_benchmark(suite: SuiteConfig, kb: KnowledgeBase,
     suite.validate()
     wf_config = suite.workflow_config()
     retrieval_kb = kb if suite.learn_during_run else kb.snapshot()
-    if trace_dir is not None:
-        trace_dir = Path(trace_dir)
-        trace_dir.mkdir(parents=True, exist_ok=True)
-    results: list[InstanceResult] = []
-    traces: dict[str, str] = {}
+    runs = []  # (id, kind, level, env, oracle objective, backend)
     for kind in suite.scenarios:
         bases = generate_instances(suite.seed, kind,
                                    suite.instances_per_scenario)
@@ -341,23 +317,33 @@ def run_benchmark(suite: SuiteConfig, kb: KnowledgeBase,
             for level in suite.levels:
                 env = with_level(base_env, spec, level)
                 iid = instance_id(kind, index, level)
-                backend = provider(iid, env, spec)
-                outcome = run_transfer(env, retrieval_kb, wf_config, backend)
-                result = evaluate_instance(
-                    iid, kind, level, outcome, oracle.objective,
-                    suite.tolerance, wf_config.max_iterations)
-                results.append(result)
-                if trace_dir is not None:
-                    trace_path = trace_dir / f"{iid}.trace.json"
-                    outcome.write_trace(trace_path)
-                    traces[iid] = str(trace_path)
-                solved_by_agent = outcome.status == "solved"
-                should_store = (
-                    (suite.accumulate_policy == "agent" and solved_by_agent)
-                    or (suite.accumulate_policy == "oracle" and result.solved))
-                if should_store and outcome.final_program is not None:
-                    accumulate(kb, env, outcome.final_program,
-                               description=" ".join(env.requirements.texts))
+                runs.append((iid, kind, level, env, oracle.objective,
+                             provider(iid, env, spec)))
+    if trace_dir is not None:
+        trace_dir = Path(trace_dir)
+        trace_dir.mkdir(parents=True, exist_ok=True)
+    results: list[InstanceResult] = []
+    traces: dict[str, str] = {}
+    for iid, kind, level, env, oracle_objective, backend in runs:
+        try:
+            outcome = run_transfer(env, retrieval_kb, wf_config, backend)
+        except BackendExhausted as exc:
+            raise BackendExhausted(f"{iid}: {exc}") from exc
+        result = evaluate_instance(
+            iid, kind, level, outcome, oracle_objective,
+            suite.tolerance, wf_config.max_iterations)
+        results.append(result)
+        if trace_dir is not None:
+            trace_path = trace_dir / f"{iid}.trace.json"
+            outcome.write_trace(trace_path)
+            traces[iid] = str(trace_path)
+        solved_by_agent = outcome.status == "solved"
+        should_store = (
+            (suite.accumulate_policy == "agent" and solved_by_agent)
+            or (suite.accumulate_policy == "oracle" and result.solved))
+        if should_store and outcome.final_program is not None:
+            accumulate(kb, env, outcome.final_program,
+                       description=" ".join(env.requirements.texts))
     by_scenario = _grouped(results, lambda r: r.scenario, suite.scenarios)
     by_level = _grouped(results, lambda r: r.level, suite.levels)
     categories = Counter(r.failure_category for r in results
@@ -374,8 +360,7 @@ def run_benchmark(suite: SuiteConfig, kb: KnowledgeBase,
                          for k, v in by_level.items()},
         },
         "failure_categories": dict(sorted(categories.items())),
-        "stats": _stats_block(results, suite.levels,
-                              wf_config.max_iterations),
+        "stats": _stats_block(by_level, wf_config.max_iterations),
         "generated_at": datetime.now(timezone.utc).isoformat(),
     }
     return report

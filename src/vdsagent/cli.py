@@ -20,9 +20,8 @@ from pathlib import Path
 from typing import Any
 
 from . import llm
-from .bench import (ABLATIONS, BackendProvider, SuiteConfig,
-                    check_suite_script, report_to_csv, run_benchmark,
-                    scripted_provider, shared_provider)
+from .bench import (ABLATIONS, BackendProvider, SuiteConfig, report_to_csv,
+                    run_benchmark, scripted_provider, shared_provider)
 from .env import (DEFAULT_ENV_DIR, DEFAULT_NETWORK_FILE, ScenarioSpec,
                   TerminalEnv, parse_environment)
 from .errors import ConfigError, VdsAgentError
@@ -77,13 +76,11 @@ def _make_backend(spec: str) -> llm.Backend:
     return llm.MockBackend(script)
 
 
-def _make_provider(spec: str, suite: SuiteConfig) -> BackendProvider:
+def _make_provider(spec: str) -> BackendProvider:
     script = _mock_script(spec)
     if script is None:
         return shared_provider(llm.HttpBackend.from_env())
-    provider = scripted_provider(script)
-    check_suite_script(script, suite)
-    return provider
+    return scripted_provider(script)
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -147,7 +144,7 @@ def _resolve_suite(args: argparse.Namespace) -> SuiteConfig:
 def cmd_bench(args: argparse.Namespace) -> int:
     suite = _resolve_suite(args)
     kb = _load_kb(args.kb)
-    provider = _make_provider(args.llm, suite)
+    provider = _make_provider(args.llm)
     out = Path(args.out)
     report = run_benchmark(suite, kb, provider, trace_dir=out / "traces")
     write_json(out / "report.json", report)

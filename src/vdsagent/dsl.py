@@ -348,7 +348,8 @@ def render(ast: ModelAst) -> str:
     return "\n".join(lines) + "\n"
 
 
-_FENCE_RE = re.compile(r"```" + FENCE_TAG + r"[ \t]*\n(.*?)```", re.DOTALL)
+_FENCE_RE = re.compile(r"```" + FENCE_TAG + r"[ \t]*\r?\n(.*?)```",
+                       re.DOTALL)
 
 
 def extract_dsl_block(text: str) -> str:

@@ -262,14 +262,24 @@ class TestResolveRunScript:
         ({"instances": {"road_closure-00-technician": {}}},
          "road_closure-00-engineer"),
     ], ids=["flat", "default", "scenario-missing", "instances-only"])
-    def test_check_suite_script_names_first_uncovered_instance(
-            self, doc, missing):
-        suite = bench.SuiteConfig()
-        if missing is None:
-            bench.check_suite_script(doc, suite)
-            return
-        with pytest.raises(ConfigError, match=f"for instance {missing}$"):
-            bench.check_suite_script(doc, suite)
+    def test_run_benchmark_names_first_uncovered_instance(
+            self, doc, missing, monkeypatch, tmp_path):
+        # the suite is set up whole, so a gap fails before any transfer
+        class FirstTransfer(Exception):
+            pass
+
+        def first_transfer(*args):
+            raise FirstTransfer
+        monkeypatch.setattr(bench, "run_transfer", first_transfer)
+        traces = tmp_path / "traces"
+        expected = (pytest.raises(FirstTransfer) if missing is None else
+                    pytest.raises(ConfigError,
+                                  match=f"for instance {missing}$"))
+        with expected:
+            bench.run_benchmark(bench.SuiteConfig(), load_seed_kb(),
+                                bench.scripted_provider(doc),
+                                trace_dir=traces)
+        assert traces.exists() == (missing is None)
 
     def test_no_entry_raises(self, closure_instance):
         env, spec = closure_instance

@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import pytest
 
@@ -7,6 +8,7 @@ from vdsagent import injection as inj
 from vdsagent.cli import (DEFAULT_CONFIG_FILE, DEFAULT_NETWORK_FILE,
                           DEFAULT_REQUIREMENTS_FILE, main)
 from vdsagent.env import parse_environment
+from vdsagent.knowledge import load, seed_kb_path
 
 
 @pytest.fixture
@@ -16,6 +18,23 @@ def script_path(tmp_path):
         path.write_text(json.dumps(payload))
         return str(path)
     return write
+
+
+@pytest.fixture
+def kb_copy(tmp_path):
+    """A directory holding a copy of the packaged seed knowledge base."""
+    root = tmp_path / "kb"
+    shutil.copytree(seed_kb_path(), root)
+    return root
+
+
+def kb_files(root):
+    """Every file under a knowledge base directory, with its bytes."""
+    return {p: p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+def exemplar_files(root):
+    return set((root / "exemplars").glob("*.json"))
 
 
 def golden_flat():
@@ -54,6 +73,14 @@ class TestRun:
         assert "status: exhausted" in stdout
         assert "failed at stage: extract" in stdout
         assert len(json.loads(trace.read_text())["attempts"]) == 3
+
+    def test_kb_dir_gains_the_solve(self, kb_copy, script_path, capsys):
+        script = script_path("recovery.json", inj.recovery_script())
+        before = exemplar_files(kb_copy)
+        code = main(["run", "--llm", f"mock:{script}", "--kb", str(kb_copy)])
+        assert code == 0
+        assert "iterations: 2" in capsys.readouterr().out
+        assert len(exemplar_files(kb_copy) - before) == 1
 
     @pytest.mark.parametrize("responses", ("hello", 5))
     def test_script_role_not_a_list_exits_two(self, script_path, capsys,
@@ -248,6 +275,39 @@ class TestBench:
             "error: suite script has no entry for instance "
             "forbidden_edge_vehicle-00-technician\n")
         assert not out.exists()
+
+    def test_exhausted_script_names_the_instance(self, tmp_path,
+                                                  script_path, capsys):
+        # the fault script is built for seed 42; at seed 3 a fault lands
+        # on an instance whose script has no debugger reply
+        script = script_path("fault.json", inj.fault_injection_script())
+        code = main(["bench", "--llm", f"mock:{script}", "--seed", "3",
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: designated_route-00-engineer: mock script has no "
+            "response for debugger call #1\n")
+
+    def test_kb_dir_gains_every_agent_solve(self, kb_copy, script_path,
+                                            tmp_path, capsys):
+        script = script_path("golden.json", inj.golden_script())
+        before = exemplar_files(kb_copy)
+        code = main(["bench", "--llm", f"mock:{script}", "--kb",
+                     str(kb_copy), "--out", str(tmp_path / "out")])
+        assert code == 0
+        assert len(exemplar_files(kb_copy) - before) == 45
+        assert len(load(kb_copy).exemplars) == 46
+
+    def test_kb_dir_unchanged_without_accumulation(self, kb_copy,
+                                                   script_path, tmp_path,
+                                                   capsys):
+        suite = script_path("suite.json", {"accumulate_policy": "none"})
+        script = script_path("golden.json", inj.golden_script())
+        before = kb_files(kb_copy)
+        code = main(["bench", "--suite", suite, "--llm", f"mock:{script}",
+                     "--kb", str(kb_copy), "--out", str(tmp_path / "out")])
+        assert code == 0
+        assert kb_files(kb_copy) == before
 
     def test_suite_file_unknown_key(self, tmp_path, script_path, capsys):
         suite = script_path("suite.json", {"scenarois": ["road_closure"]})

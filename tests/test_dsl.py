@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import parse_outcome, random_ast, reference_parse
-from vdsagent import dsl
+from vdsagent import dsl, injection as inj
 
 HEAD = "model m\nobjective minimize total_travel_time\n"
 
@@ -305,6 +305,12 @@ class TestExtraction:
 
     def test_tag_with_trailing_spaces(self):
         assert dsl.extract_dsl_block("```vds-dsl  \nbody\n```") == "body\n"
+
+    def test_crlf_line_endings(self):
+        block = inj.fenced(inj.CORRECT_PROGRAMS["road_closure"])
+        crlf = block.replace("\n", "\r\n")
+        assert dsl.parse(dsl.extract_dsl_block(crlf)) == \
+            dsl.parse(dsl.extract_dsl_block(block))
 
     def test_round_trip_through_fence(self):
         block = f"answer below\n```vds-dsl\n{CLEAN}```"
