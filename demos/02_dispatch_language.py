@@ -24,7 +24,7 @@ constraints {
 
 ast = dsl.parse(SOURCE)
 print(f"model name: {ast.name}")
-print(f"objective:  {ast.objective}")
+print(f"objective:  {dsl.OBJECTIVE}")
 print(f"statements: {[type(s).__name__ for s in ast.statements]}")
 
 # render() emits canonical text, and parsing that text gives the same

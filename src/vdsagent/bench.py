@@ -14,10 +14,10 @@ import csv
 import io
 import math
 from collections import Counter
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, Collection
 
 from .env import (EXPERTISE_LEVELS, SCENARIO_KINDS, ScenarioSpec,
                   TerminalEnv)
@@ -31,10 +31,10 @@ from .workflow import TransferOutcome, WorkflowConfig, run_transfer
 
 SIGNIFICANCE_LEVEL = 0.05
 
-ABLATIONS = ("none", "no-rag", "no-self-correction")
-
 _ABLATION_LABELS = {"none": "full", "no-rag": "w/o RAG",
                     "no-self-correction": "w/o self-correction"}
+
+ABLATIONS = tuple(_ABLATION_LABELS)
 
 SYNTAX_STAGES = ("extract", "parse", "static")
 
@@ -96,15 +96,24 @@ class SuiteConfig:
         return _ABLATION_LABELS[self.ablation]
 
     def workflow_config(self) -> WorkflowConfig:
-        single_attempt = self.ablation == "no-self-correction"
-        return WorkflowConfig(
-            max_iterations=(min(self.max_iterations, 1) if single_attempt
-                            else self.max_iterations),
+        return ablate(WorkflowConfig(
+            max_iterations=self.max_iterations,
             k_shot=self.k_shot,
-            use_rag=self.ablation != "no-rag",
             solve_time_limit=self.solve_time_limit,
             accumulate_on_success=False,  # the harness owns accumulation
-        )
+        ), (self.ablation,))
+
+
+def ablate(config: WorkflowConfig,
+           ablations: Collection[str]) -> WorkflowConfig:
+    """`config` with each named ablation applied: no-rag drops retrieval,
+    no-self-correction allows at most one attempt ("none" changes
+    nothing)."""
+    if "no-rag" in ablations:
+        config = replace(config, use_rag=False)
+    if "no-self-correction" in ablations:
+        config = replace(config, max_iterations=min(config.max_iterations, 1))
+    return config
 
 
 @dataclass(frozen=True)
@@ -189,14 +198,14 @@ def _grouped(results: list[InstanceResult],
     groups: dict[str, list[InstanceResult]] = {name: [] for name in order}
     for r in results:
         groups[key(r)].append(r)
-    return {name: rs for name, rs in groups.items() if rs}
+    return groups
 
 
 def _stats_block(by_level: dict[str, list[InstanceResult]],
                  max_iterations: int) -> dict[str, Any]:
     """Exact test of each outcome against expertise level.
 
-    `by_level` holds the non-empty groups in suite level order.  The
+    `by_level` holds the groups in suite level order.  The
     iterations table has one column per count 1..max_iterations, so its
     shape follows the workflow config, not the data.
     """
@@ -337,11 +346,8 @@ def run_benchmark(suite: SuiteConfig, kb: KnowledgeBase,
             trace_path = trace_dir / f"{iid}.trace.json"
             outcome.write_trace(trace_path)
             traces[iid] = str(trace_path)
-        solved_by_agent = outcome.status == "solved"
-        should_store = (
-            (suite.accumulate_policy == "agent" and solved_by_agent)
-            or (suite.accumulate_policy == "oracle" and result.solved))
-        if should_store and outcome.final_program is not None:
+        if ((suite.accumulate_policy == "agent" and result.executed)
+                or (suite.accumulate_policy == "oracle" and result.solved)):
             accumulate(kb, env, outcome.final_program,
                        description=" ".join(env.requirements.texts))
     by_scenario = _grouped(results, lambda r: r.scenario, suite.scenarios)

@@ -20,8 +20,9 @@ from pathlib import Path
 from typing import Any
 
 from . import llm
-from .bench import (ABLATIONS, BackendProvider, SuiteConfig, report_to_csv,
-                    run_benchmark, scripted_provider, shared_provider)
+from .bench import (ABLATIONS, BackendProvider, SuiteConfig, ablate,
+                    report_to_csv, run_benchmark, scripted_provider,
+                    shared_provider)
 from .env import (DEFAULT_ENV_DIR, DEFAULT_NETWORK_FILE, ScenarioSpec,
                   TerminalEnv, parse_environment)
 from .errors import ConfigError, VdsAgentError
@@ -86,14 +87,13 @@ def _make_provider(spec: str) -> BackendProvider:
 def cmd_run(args: argparse.Namespace) -> int:
     env = _load_env(args.net, args.config, args.reqs)
     kb = _load_kb(args.kb)
-    config = WorkflowConfig(
-        max_iterations=(min(args.max_iter, 1) if args.no_self_correction
-                        else args.max_iter),
+    config = ablate(WorkflowConfig(
+        max_iterations=args.max_iter,
         k_shot=args.kshot,
-        use_rag=not args.no_rag,
         solve_time_limit=args.time_limit,
         token_budget=args.token_budget,
-    )
+    ), [name for name in ABLATIONS  # --no-rag, --no-self-correction
+        if getattr(args, name.replace("-", "_"), False)])
     backend = _make_backend(args.llm)
     outcome = run_transfer(env, kb, config, backend)
     if args.trace:

@@ -154,7 +154,6 @@ PATH_STATEMENTS = (RequireSubpath, RequireExactPath)
 class ModelAst:
     name: str
     statements: tuple[Statement, ...] = field(default_factory=tuple)
-    objective: str = OBJECTIVE
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "statements", tuple(self.statements))
@@ -304,8 +303,6 @@ def static_check(ast: ModelAst) -> list[DslError]:
     deterministic (scan order of the statement list).
     """
     errors: list[DslError] = []
-    if ast.objective != OBJECTIVE:
-        errors.append(DslError("static", f"objective must be '{OBJECTIVE}'"))
     balance = sum(1 for s in ast.statements if isinstance(s, FlowBalanceAll))
     if balance == 0:
         errors.append(DslError("static", "missing required statement 'flow_balance all'"))
@@ -338,9 +335,10 @@ def static_check(ast: ModelAst) -> list[DslError]:
 
 
 def render(ast: ModelAst) -> str:
-    """Canonical text for an AST; parse(render(ast)) == ast."""
+    """Canonical text for an AST; parse(render(ast)) == ast.  The
+    objective line is always OBJECTIVE, the only one the grammar has."""
     lines = [f"model {ast.name}",
-             f"objective minimize {ast.objective}",
+             f"objective minimize {OBJECTIVE}",
              "constraints {"]
     for stmt in ast.statements:
         lines.append("  " + stmt.render())
@@ -350,6 +348,11 @@ def render(ast: ModelAst) -> str:
 
 _FENCE_RE = re.compile(r"```" + FENCE_TAG + r"[ \t]*\r?\n(.*?)```",
                        re.DOTALL)
+
+
+def fenced(program: str) -> str:
+    """`program` in the fenced block that `extract_dsl_block` reads."""
+    return f"```{FENCE_TAG}\n{program}\n```"
 
 
 def extract_dsl_block(text: str) -> str:

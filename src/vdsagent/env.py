@@ -536,22 +536,21 @@ def scenario_prompt(spec: ScenarioSpec, level: str) -> str:
         return (f"A vehicle-path compatibility constraint must be enforced: for "
                 f"v={num}, the decision variable x_ve must be 0 for all e in "
                 f"{{({u},{v}), ({v},{u})}}.")
-    if spec.kind == "designated_route":
-        tid = spec.task
-        nodes = spec.nodes
-        if level == "technician":
-            hops = ", then ".join(
-                f"go from {a} to {b}" if i == 0 else f"from {a} to {b}"
-                for i, (a, b) in enumerate(zip(nodes, nodes[1:]))
-            )
-            return (f"The container for {tid} has dangerous goods, so it has to "
-                    f"stick to the safe route: {hops}. No exceptions.")
-        if level == "engineer":
-            corridor = "->".join(str(n) for n in nodes)
-            return (f"Task {tid} involves dangerous goods and must follow the "
-                    f"designated one-way safety corridor ({corridor}).")
-        seq = ", ".join(str(n) for n in nodes)
-        return (f"A mandatory subpath constraint must be applied to the AGV "
-                f"assigned to task {tid}, ensuring its solution path contains "
-                f"the subsequence ({seq}).")
-    raise UnknownCombination(f"unknown scenario kind '{spec.kind}'")
+    # designated_route: the spec rejects every other kind on construction
+    tid = spec.task
+    nodes = spec.nodes
+    if level == "technician":
+        hops = ", then ".join(
+            f"go from {a} to {b}" if i == 0 else f"from {a} to {b}"
+            for i, (a, b) in enumerate(zip(nodes, nodes[1:]))
+        )
+        return (f"The container for {tid} has dangerous goods, so it has to "
+                f"stick to the safe route: {hops}. No exceptions.")
+    if level == "engineer":
+        corridor = "->".join(str(n) for n in nodes)
+        return (f"Task {tid} involves dangerous goods and must follow the "
+                f"designated one-way safety corridor ({corridor}).")
+    seq = ", ".join(str(n) for n in nodes)
+    return (f"A mandatory subpath constraint must be applied to the AGV "
+            f"assigned to task {tid}, ensuring its solution path contains "
+            f"the subsequence ({seq}).")

@@ -20,8 +20,7 @@ from .errors import ConfigError
 from .instances import fixed_scenario, generate_instances, instance_id
 from .solver import oracle_solve, solve, bind
 from . import dsl
-
-_FENCE = "```" + dsl.FENCE_TAG + "\n{}\n```"
+from .dsl import fenced  # injection.fenced stays importable
 
 _MODEL_NAMES = {"road_closure": "closure_transfer",
                 "forbidden_edge_vehicle": "forbidden_transfer",
@@ -80,10 +79,6 @@ _CLOSED = fixed_scenario("road_closure").edge
 ONE_WAY_CLOSURE_PROGRAM = _program(
     _MODEL_NAMES["road_closure"],
     (dsl.FlowBalanceAll(), dsl.RemoveEdge(*_CLOSED)))
-
-
-def fenced(program: str) -> str:
-    return _FENCE.format(program)
 
 
 def _answer(kind: str, program: str) -> dict[str, Any]:

@@ -27,10 +27,9 @@ import math
 import re
 from collections import Counter
 from dataclasses import asdict, dataclass, fields
-from functools import cached_property
 from itertools import chain, compress
 from pathlib import Path
-from typing import Any, Collection, Iterable, Mapping, Sequence
+from typing import Any, Collection, Iterable, Sequence
 
 import yaml
 
@@ -76,11 +75,6 @@ class Exemplar:
 
     def document(self) -> str:
         return self.description + "\n" + self.program
-
-    @cached_property
-    def term_counts(self) -> Mapping[str, int]:
-        """Occurrences of each token of `document()`, computed once."""
-        return Counter(tokenize(self.document()))
 
 
 @dataclass(frozen=True)
@@ -253,12 +247,12 @@ class Index:
 
     def add(self, ex: Exemplar) -> None:
         """Add `ex` as one more copy of its (description, program); its
-        `term_counts` are read only for a document not yet held."""
+        `document()` is tokenized only when that document is not yet held."""
         key = (ex.description, ex.program)
         doc = self._numbers.get(key)
         if doc is None:
             doc = self._numbers[key] = len(self.lengths)
-            term_counts = ex.term_counts
+            term_counts = Counter(tokenize(ex.document()))
             self.lengths.append(sum(term_counts.values()))
             self.copies.append([])
             entries = []

@@ -137,7 +137,7 @@ def _exemplars_body(ctx: RetrievedContext) -> str:
         parts.append(
             f"### {ex.id}\n{ex.description}\n"
             f"Environment:\n{ex.env_digest}\n"
-            f"Program:\n```{dsl.FENCE_TAG}\n{ex.program.strip()}\n```"
+            f"Program:\n{dsl.fenced(ex.program.strip())}"
         )
     return "\n\n".join(parts)
 

@@ -5,9 +5,11 @@ import pytest
 
 import helpers
 from vdsagent import injection as inj
+from vdsagent.bench import SuiteConfig
 from vdsagent.cli import (DEFAULT_CONFIG_FILE, DEFAULT_NETWORK_FILE,
                           DEFAULT_REQUIREMENTS_FILE, main)
 from vdsagent.env import parse_environment
+from vdsagent.errors import ConfigError
 from vdsagent.knowledge import load, seed_kb_path
 
 
@@ -370,6 +372,20 @@ class TestBench:
         assert code == 2
         assert "learn_during_run" in capsys.readouterr().err
         assert not (out / "report.json").exists()
+
+    @pytest.mark.parametrize("key", ("tolerance", "solve_time_limit"))
+    def test_suite_file_non_number_exits_two(self, tmp_path, script_path,
+                                             capsys, key):
+        with pytest.raises(ConfigError) as exc:
+            SuiteConfig(**{key: "1e-4"}).validate()
+        assert str(exc.value) == f"{key} must be a number"
+        suite = script_path("suite.json", {key: "1e-4"})
+        script = script_path("golden.json", inj.golden_script())
+        code = main(["bench", "--suite", suite, "--llm", f"mock:{script}",
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {key} must be a number\n"
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("key", ("tolerance", "solve_time_limit"))
     def test_suite_file_nan_exits_two(self, tmp_path, capsys, key):

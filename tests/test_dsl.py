@@ -37,7 +37,8 @@ class TestParse:
         """
         ast = dsl.parse(text)
         assert ast.name == "kitchen_sink"
-        assert ast.objective == "total_travel_time"
+        assert dsl.render(ast).split("\n")[1] == \
+            f"objective minimize {dsl.OBJECTIVE}"
         assert ast.statements == (
             dsl.FlowBalanceAll(),
             dsl.RemoveEdge(6, 7),

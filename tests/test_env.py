@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 import helpers
 from vdsagent import dsl
 from vdsagent.cli import (DEFAULT_CONFIG_FILE, DEFAULT_NETWORK_FILE,
-                          DEFAULT_REQUIREMENTS_FILE)
+                          DEFAULT_REQUIREMENTS_FILE, main)
 from vdsagent.env import (EXPERTISE_LEVELS, FULL_DIGEST_CHARS,
                           SCENARIO_KINDS, Agv, Edge, FleetConfig, Network,
                           Node, Requirements,
@@ -279,6 +279,60 @@ class TestParsing:
         reqs = json.dumps({"expertise_level": "engineer", "requirements": []})
         with pytest.raises(CrossReferenceError):
             parse_environment(net, fleet, reqs)
+
+
+def _set(path, value):
+    """A change to the JSON document at `path` (keys and indexes)."""
+    def change(doc):
+        *head, last = path
+        for key in head:
+            doc = doc[key]
+        doc[last] = value
+    return change
+
+
+def _copy_first_task_id(doc):
+    doc["tasks"][1]["id"] = doc["tasks"][0]["id"]
+
+
+class TestRejectedEnvironmentFiles:
+    """Each bad file raises its error class from the parser, and `oracle`
+    reading it exits 2 with the same message."""
+
+    FILES = {
+        "--net": (DEFAULT_NETWORK_FILE, parse_network),
+        "--config": (DEFAULT_CONFIG_FILE, parse_fleet_config),
+        "--scenario": (DEFAULT_NETWORK_FILE.parent / "scenario.json",
+                       lambda text: ScenarioSpec.from_dict(json.loads(text))),
+    }
+
+    @pytest.mark.parametrize("flag, change, error, prefix", [
+        ("--net", _set(("nodes", 0), 5), SchemaError,
+         "network.nodes[0]: expected an object, got int"),
+        ("--net", _set(("nodes", 0, "type"), 7), SchemaError,
+         "network.nodes[0].type: wrong type"),
+        ("--net", _set(("edges", 0, "source"), 99), CrossReferenceError,
+         "edge references unknown node 99"),
+        ("--config", _set(("agvs", 0, "attributes"), [1]), SchemaError,
+         "config.agvs[0].attributes: expected an object"),
+        ("--config", _copy_first_task_id, SchemaError, "duplicate task ids"),
+        ("--scenario", _set(("params",), [6, 7]), SchemaError,
+         "scenario.params: expected an object"),
+    ], ids=["node-int", "node-type-int", "unknown-source", "attributes-list",
+            "task-id-repeated", "params-list"])
+    def test_parser_and_cli_reject(self, tmp_path, capsys, flag, change,
+                                   error, prefix):
+        default, parser = self.FILES[flag]
+        doc = json.loads(default.read_text())
+        change(doc)
+        text = json.dumps(doc)
+        with pytest.raises(error) as exc:
+            parser(text)
+        assert str(exc.value).startswith(prefix)
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        assert main(["oracle", flag, str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {prefix}")
 
 
 class TestDigest:

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -8,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 import helpers
 from vdsagent import bench, injection
 from vdsagent import knowledge as kn
+from vdsagent.cli import main
 from vdsagent.errors import ValidationError
 from vdsagent.env import (EXPERTISE_LEVELS, Agv, Edge, FleetConfig, Network,
                           Node, Requirements, Task, TerminalEnv, env_digest)
@@ -217,6 +219,50 @@ class TestLoadAndPersist:
             "---\nid: x\ncategory: philosophy\ntitle: T\n---\nbody\n")
         with pytest.raises(ValidationError):
             kn.load(tmp_path)
+
+    @pytest.mark.parametrize("text, message", [
+        ("---\nid: x\ncategory: objective_function\n",
+         "unterminated front-matter"),
+        ("---\nid: [x\n---\nbody\n", "bad front-matter ("),
+        ("---\n- id\n- x\n---\nbody\n", "front-matter must be a mapping"),
+        ("---\ncategory: objective_function\ntitle: T\n---\n",
+         "front-matter needs 'id'"),
+        ("---\nid: x\ncategory: 5\ntitle: T\n---\n",
+         "front-matter needs 'category'"),
+        ("---\nid: x\ncategory: objective_function\n---\n",
+         "front-matter needs 'title'"),
+    ], ids=["unterminated", "bad-yaml", "list", "no-id", "int-category",
+            "no-title"])
+    def test_load_and_cli_reject_bad_primitive(self, tmp_path, capsys, text,
+                                               message):
+        self.write_kb(tmp_path)
+        (tmp_path / "primitives" / "bad.md").write_text(text)
+        self.assert_rejected(tmp_path, capsys, f"bad.md: {message}")
+
+    def test_load_and_cli_reject_duplicate_primitive_id(self, tmp_path,
+                                                        capsys):
+        self.write_kb(tmp_path)
+        prim = tmp_path / "primitives"
+        (prim / "b.md").write_text((prim / "a.md").read_text())
+        self.assert_rejected(tmp_path, capsys, "duplicate primitive ids")
+
+    def test_load_and_cli_reject_invalid_stored_exemplar(self, tmp_path,
+                                                         capsys):
+        self.write_kb(tmp_path)
+        (tmp_path / "exemplars" / "two.json").write_text(json.dumps({
+            "id": "two", "description": "no flow balance", "env_digest": "",
+            "program": injection.UNGROUNDED_PROGRAM}))
+        self.assert_rejected(tmp_path, capsys,
+                             "two.json: exemplar two: program fails static "
+                             "checks")
+
+    @staticmethod
+    def assert_rejected(root, capsys, prefix):
+        with pytest.raises(ValidationError) as exc:
+            kn.load(root)
+        assert str(exc.value).startswith(prefix)
+        assert main(["kb", "list", "--kb", str(root)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {prefix}")
 
     def test_append_persists_and_reloads(self, tmp_path):
         self.write_kb(tmp_path)
@@ -766,7 +812,7 @@ class TestDuplicateDocuments:
         ctx = kn.retrieve(kb, kn.tokenize("road closed"), 3)
         assert [e.id for e in ctx.exemplars] == ["c-000", "c-001", "c-002"]
         index = kb._index
-        counts = CLOSURE_EXEMPLAR.term_counts
+        counts = Counter(kn.tokenize(CLOSURE_EXEMPLAR.document()))
         held = list(kb.exemplars)
         assert index.lengths == [sum(counts.values())]
         assert index.copies == [held]

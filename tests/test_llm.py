@@ -358,6 +358,12 @@ class TestCompleteRetries:
         with pytest.raises(llm.FormatError):
             llm.complete(backend, bundle_for("modeler"))
 
+    def test_non_string_completion_is_format_error(self):
+        backend = FlakyBackend(failures=0, text=5)
+        with pytest.raises(llm.FormatError) as exc:
+            llm.complete(backend, bundle_for("modeler"))
+        assert str(exc.value).startswith("backend returned a non-string")
+
     def test_format_errors_not_retried(self):
         class BadBackend:
             calls = 0
