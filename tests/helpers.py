@@ -23,6 +23,8 @@ cell.  `network_from` turns a link -> length dict into the `Network`
 the solver reads, so an expected value can come from the dict while the
 solver runs on the network; `grid_yard` builds a whole grid environment
 from it, and `excerpt_names` reads back what an `env_digest` lists.
+`WALL_CLOCK_FIELDS` names the output fields that hold clock readings,
+and `unclocked` blanks them.
 """
 
 from __future__ import annotations
@@ -45,6 +47,22 @@ from vdsagent.injection import MODELER_SCHEMES, RECOVERY_REFLECTION
 from vdsagent.knowledge import BM25_B, BM25_K1
 
 EdgeMap = dict[tuple[int, int], float]
+
+# The report, CSV and trace fields read from the wall clock; every other
+# output field is fixed by the inputs.
+WALL_CLOCK_FIELDS = ("generated_at", "wall_time", "mean_wall_time",
+                     "total_wall_time")
+
+
+def unclocked(doc: Any) -> Any:
+    """`doc` as JSON data with every `WALL_CLOCK_FIELDS` value, at any
+    depth, set to None."""
+    if isinstance(doc, dict):
+        return {k: None if k in WALL_CLOCK_FIELDS else unclocked(v)
+                for k, v in doc.items()}
+    if isinstance(doc, (list, tuple)):
+        return [unclocked(v) for v in doc]
+    return doc
 
 
 def random_ast(rng: random.Random) -> dsl.ModelAst:

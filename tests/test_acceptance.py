@@ -228,18 +228,6 @@ def test_criterion_5_statistics():
           "significant), each equal to the Fraction enumeration")
 
 
-def _normalized(report):
-    doc = json.loads(json.dumps(report))
-    doc.pop("generated_at")
-    for row in doc["instances"]:
-        row.pop("wall_time")
-    for agg in [doc["aggregates"]["overall"],
-                *doc["aggregates"]["by_scenario"].values(),
-                *doc["aggregates"]["by_level"].values()]:
-        agg.pop("mean_wall_time")
-    return json.dumps(doc, sort_keys=True)
-
-
 def test_criterion_6_pipeline_reproduction():
     start = time.monotonic()
     suite = bench.SuiteConfig()
@@ -275,8 +263,8 @@ def test_criterion_6_pipeline_reproduction():
         suite, load_seed_kb(), bench.scripted_provider(inj.golden_script()))
     fault_again = bench.run_benchmark(
         suite, load_seed_kb(), bench.scripted_provider(fault_script))
-    assert _normalized(golden) == _normalized(golden_again)
-    assert _normalized(fault) == _normalized(fault_again)
+    assert helpers.unclocked(golden) == helpers.unclocked(golden_again)
+    assert helpers.unclocked(fault) == helpers.unclocked(fault_again)
 
     elapsed = time.monotonic() - start
     assert elapsed < 120.0

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import helpers
 from vdsagent import bench, dsl, injection as inj, llm, solver
 from vdsagent import workflow as wf
 from vdsagent.env import FleetConfig, Network
@@ -294,19 +295,6 @@ def small_suite(**kwargs):
     return bench.SuiteConfig(**base)
 
 
-def normalize(report):
-    """Strip the wall-clock-derived fields; everything else is frozen."""
-    doc = json.loads(json.dumps(report))
-    doc.pop("generated_at")
-    for row in doc["instances"]:
-        row.pop("wall_time")
-    for agg in [doc["aggregates"]["overall"],
-                *doc["aggregates"]["by_scenario"].values(),
-                *doc["aggregates"]["by_level"].values()]:
-        agg.pop("mean_wall_time")
-    return doc
-
-
 class TestRunBenchmark:
     def test_golden_report_shape(self):
         report = bench.run_benchmark(
@@ -363,8 +351,7 @@ class TestRunBenchmark:
         provider = bench.scripted_provider(inj.golden_script())
         a = bench.run_benchmark(suite, load_seed_kb(), provider)
         b = bench.run_benchmark(suite, load_seed_kb(), provider)
-        assert json.dumps(normalize(a), sort_keys=True) == \
-            json.dumps(normalize(b), sort_keys=True)
+        assert helpers.unclocked(a) == helpers.unclocked(b)
 
     def test_oracle_and_transfers_reuse_generated_routes(self, monkeypatch):
         # generation searches every route of a scenario's network; the
