@@ -224,11 +224,10 @@ def _stats_block(by_level: dict[str, list[InstanceResult]],
     stats: dict[str, Any] = {}
     for name, table in tables.items():
         try:
-            result = exact_test(table)
+            p = exact_test(table)
         except DegenerateTable:
             continue  # too little data for this test; omit the entry
-        stats[name] = dict(asdict(result),
-                           significant=result.p_value < SIGNIFICANCE_LEVEL)
+        stats[name] = {"p_value": p, "significant": p < SIGNIFICANCE_LEVEL}
     return stats
 
 

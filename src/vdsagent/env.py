@@ -9,13 +9,13 @@ from __future__ import annotations
 
 import math
 import re
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cache, cached_property
 from pathlib import Path
 from typing import Any
 
-from .errors import CrossReferenceError, SchemaError, UnknownCombination
+from .errors import CrossReferenceError, SchemaError
 from .files import read_json
 
 EXPERTISE_LEVELS = ("technician", "engineer", "scientist")
@@ -42,6 +42,15 @@ def tokenize(text: str) -> list[str]:
     """
     return (text.lower().encode("ascii", "replace").translate(_SEPARATORS)
             .decode("ascii").split())
+
+
+def check_unique(ids: Sequence[Any], what: str,
+                 error: type[Exception] = SchemaError) -> None:
+    """Raise `error` naming the first of `ids` equal to an earlier one."""
+    if len(set(ids)) != len(ids):
+        seen: set[Any] = set()
+        repeat = next(x for x in ids if x in seen or seen.add(x))
+        raise error(f"duplicate {what} id {repeat}")
 
 
 def _require(obj: dict, key: str, kinds: type | tuple, where: str) -> Any:
@@ -106,8 +115,7 @@ class Network:
         object.__setattr__(self, "nodes", tuple(self.nodes))
         object.__setattr__(self, "edges", tuple(self.edges))
         ids = [n.id for n in self.nodes]
-        if len(set(ids)) != len(ids):
-            raise SchemaError("duplicate node ids in network")
+        check_unique(ids, "node")
         known = set(ids)
         seen: set[tuple[int, int]] = set()
         for e in self.edges:
@@ -199,11 +207,8 @@ class FleetConfig:
         object.__setattr__(self, "agvs", tuple(self.agvs))
         object.__setattr__(self, "tasks", tuple(self.tasks))
         agv_ids = [a.id for a in self.agvs]
-        if len(set(agv_ids)) != len(agv_ids):
-            raise SchemaError("duplicate agv ids")
-        task_ids = [t.id for t in self.tasks]
-        if len(set(task_ids)) != len(task_ids):
-            raise SchemaError("duplicate task ids")
+        check_unique(agv_ids, "agv")
+        check_unique([t.id for t in self.tasks], "task")
         known = set(agv_ids)
         assigned: set[str] = set()
         for t in self.tasks:
@@ -512,7 +517,7 @@ def _vehicle_number(vehicle_id: str) -> str:
 def scenario_prompt(spec: ScenarioSpec, level: str) -> str:
     """The natural-language requirement for (scenario, expertise level)."""
     if level not in EXPERTISE_LEVELS:
-        raise UnknownCombination(f"unknown expertise level '{level}'")
+        raise SchemaError(f"unknown expertise level '{level}'")
     if spec.kind == "road_closure":
         u, v = spec.edge
         if level == "technician":

@@ -13,10 +13,6 @@ class CrossReferenceError(VdsAgentError):
     """An input references an entity that does not exist."""
 
 
-class UnknownCombination(VdsAgentError):
-    """No prompt template exists for the requested scenario/level pair."""
-
-
 class InfeasibleGeneration(VdsAgentError):
     """Instance sampling could not find a feasible OD assignment."""
 

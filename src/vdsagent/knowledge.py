@@ -27,14 +27,13 @@ import math
 import re
 from collections import Counter
 from dataclasses import asdict, dataclass, fields
-from itertools import chain, compress
 from pathlib import Path
 from typing import Any, Collection, Iterable, Sequence
 
 import yaml
 
 from . import dsl
-from .env import TerminalEnv, env_digest, tokenize
+from .env import TerminalEnv, check_unique, env_digest, tokenize
 from .errors import ValidationError
 from .files import read_json, read_text, write_json
 
@@ -120,12 +119,11 @@ class KnowledgeBase:
             key=lambda p: (PRIMITIVE_CATEGORIES.index(p.category), p.id)))
         self._exemplars: list[Exemplar] = list(exemplars)
         self.root = root
-        ids = [p.id for p in self.primitives]
-        if len(set(ids)) != len(ids):
-            raise ValidationError("duplicate primitive ids")
+        check_unique([p.id for p in self.primitives], "primitive",
+                     ValidationError)
+        check_unique([e.id for e in self._exemplars], "exemplar",
+                     ValidationError)
         self._ids = {e.id for e in self._exemplars}
-        if len(self._ids) != len(self._exemplars):
-            raise ValidationError("duplicate exemplar ids")
         self._index: Index | None = None  # built by the first retrieval
 
     @property
@@ -189,12 +187,17 @@ def load(path: str | Path) -> KnowledgeBase:
     if not root.is_dir():
         raise FileNotFoundError(f"knowledge base directory {root} not found")
     primitives = []
+    files: dict[str, str] = {}  # primitive id -> name of its first file
     for md in sorted((root / "primitives").glob("*.md")):
         meta, body = _parse_front_matter(
             read_text(md, md.name, ValidationError), md.name)
         for key in ("id", "category", "title"):
             if not isinstance(meta.get(key), str):
                 raise ValidationError(f"{md.name}: front-matter needs '{key}'")
+        first = files.setdefault(meta["id"], md.name)
+        if first != md.name:
+            raise ValidationError(f"{md.name}: duplicate primitive id "
+                                  f"{meta['id']}, also in {first}")
         primitives.append(Primitive(id=meta["id"], category=meta["category"],
                                     title=meta["title"], body=body))
     exemplars = []
@@ -332,13 +335,11 @@ def retrieve(kb: KnowledgeBase, terms: Collection[str],
         return RetrievedContext(primitives=primitives, exemplars=(), scores=())
     index = kb.index
     scores = index.bm25(terms)
-    # documents best-first until they hold the k-th best copy: those that
-    # share a query term by score, then the rest, which all score 0
-    ranked = chain(sorted(compress(range(len(scores)), scores),
-                          key=scores.__getitem__, reverse=True),
-                   (d for d, score in enumerate(scores) if not score))
+    # documents best-first until they hold the k-th best copy (a stable
+    # sort: documents that tie, such as all those that score 0, keep add
+    # order)
     top: list[tuple[float, Exemplar]] = []
-    for d in ranked:
+    for d in sorted(range(len(scores)), key=scores.__getitem__, reverse=True):
         score = scores[d]
         if len(top) >= k and score < top[-1][0]:
             break  # the k-th best copy and all tied with it are held

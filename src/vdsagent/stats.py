@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .errors import VdsAgentError
@@ -20,11 +19,6 @@ from .errors import VdsAgentError
 
 class DegenerateTable(VdsAgentError):
     """The contingency table cannot support an exact test."""
-
-
-@dataclass(frozen=True)
-class ExactTestResult:
-    p_value: float
 
 
 def _multinomial(counts: Sequence[int]) -> int:
@@ -41,8 +35,9 @@ def _splits(size: int, caps: Sequence[int]) -> Iterator[tuple[int, ...]]:
             yield (*counts, rest)
 
 
-def exact_test(table: Sequence[Sequence[int]]) -> ExactTestResult:
-    """Exact test of independence on an r x c count table (Freeman-Halton).
+def exact_test(table: Sequence[Sequence[int]]) -> float:
+    """The p-value of the exact test of independence on an r x c count
+    table (Freeman-Halton).
 
     Given both margins, a table whose row i of size n_i holds counts
     x_i1..x_ic has weight prod multinomial(n_i; x_i1..x_ic); the weights
@@ -75,5 +70,4 @@ def exact_test(table: Sequence[Sequence[int]]) -> ExactTestResult:
                         weight * _multinomial(counts))
                    for counts in _splits(head[i], left))
 
-    return ExactTestResult(
-        p_value=tail(0, tuple(columns), 1) / _multinomial(columns))
+    return tail(0, tuple(columns), 1) / _multinomial(columns)

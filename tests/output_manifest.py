@@ -63,8 +63,8 @@ def _csv_text(text: str) -> str:
     return buffer.getvalue()
 
 
-def run_entry(root: Path, seed: int, script: dict[str, Any],
-              ablation: str) -> dict[str, Any]:
+def _run_entry(root: Path, seed: int, script: dict[str, Any],
+               ablation: str) -> dict[str, Any]:
     """Exit code and output hashes of one `bench` run under `root`."""
     script_file = root / "script.json"
     script_file.write_text(json.dumps(script), encoding="utf-8")
@@ -93,7 +93,7 @@ def manifest(workdir: Path) -> dict[str, dict[str, Any]]:
             run = f"{name}-{ablation}"
             root = workdir / run
             root.mkdir()
-            runs[run] = run_entry(root, seed, script, ablation)
+            runs[run] = _run_entry(root, seed, script, ablation)
     return runs
 
 

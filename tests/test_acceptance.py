@@ -210,21 +210,21 @@ def test_criterion_4_metric_formulas():
 
 def test_criterion_5_statistics():
     fixture = [[13, 2], [14, 1], [15, 0]]
-    exact = stats.exact_test(fixture)
-    assert exact.p_value == helpers.fraction_exact_p(fixture)
-    assert exact.p_value == pytest.approx(0.7622, abs=5e-5)
+    p_ssr = stats.exact_test(fixture)
+    assert p_ssr == helpers.fraction_exact_p(fixture)
+    assert p_ssr == pytest.approx(0.7622, abs=5e-5)
 
-    clean = stats.exact_test([[15, 0], [15, 0], [15, 0]])
-    assert clean.p_value == 1.0
+    p_clean = stats.exact_test([[15, 0], [15, 0], [15, 0]])
+    assert p_clean == 1.0
 
     # levels x iteration counts 1..3, as the ablation suite produces
     iterations = [[15, 0, 0], [15, 0, 0], [12, 3, 0]]
-    counts = stats.exact_test(iterations)
-    assert counts.p_value == helpers.fraction_exact_p(iterations)
-    assert counts.p_value == pytest.approx(0.0962, abs=5e-5)
-    assert counts.p_value >= bench.SIGNIFICANCE_LEVEL
-    print(f"\nPASS: criterion 5 - exact test on SSR (p {exact.p_value:.4f}) "
-          f"and on iteration counts (p {counts.p_value:.4f}, not "
+    p_counts = stats.exact_test(iterations)
+    assert p_counts == helpers.fraction_exact_p(iterations)
+    assert p_counts == pytest.approx(0.0962, abs=5e-5)
+    assert p_counts >= bench.SIGNIFICANCE_LEVEL
+    print(f"\nPASS: criterion 5 - exact test on SSR (p {p_ssr:.4f}) "
+          f"and on iteration counts (p {p_counts:.4f}, not "
           "significant), each equal to the Fraction enumeration")
 
 

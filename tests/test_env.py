@@ -14,8 +14,7 @@ from vdsagent.env import (EXPERTISE_LEVELS, FULL_DIGEST_CHARS,
                           ScenarioSpec, Task, TerminalEnv, default_network,
                           env_digest, parse_environment, parse_fleet_config,
                           parse_network, parse_requirements, scenario_prompt)
-from vdsagent.errors import (CrossReferenceError, SchemaError,
-                             UnknownCombination)
+from vdsagent.errors import CrossReferenceError, SchemaError
 from vdsagent.injection import correct_program
 from vdsagent.instances import generate_instances, with_level
 from vdsagent.solver import RoadGraph, shortest_path
@@ -66,8 +65,9 @@ class TestNetwork:
         assert neighbors == [2, 6, 8, 12]
 
     def test_duplicate_node_id_rejected(self):
-        with pytest.raises(SchemaError):
-            Network(nodes=(Node(0), Node(0)), edges=())
+        with pytest.raises(SchemaError, match="^duplicate node id 1$"):
+            Network(nodes=(Node(0), Node(1), Node(2), Node(1), Node(0)),
+                    edges=())
 
     def test_unknown_endpoint_rejected(self):
         with pytest.raises(CrossReferenceError):
@@ -101,8 +101,13 @@ class TestNetwork:
 
 class TestFleet:
     def test_duplicate_agv_rejected(self):
-        with pytest.raises(SchemaError):
+        with pytest.raises(SchemaError, match="^duplicate agv id A$"):
             FleetConfig(agvs=(Agv("A"), Agv("A")), tasks=())
+
+    def test_duplicate_task_rejected(self):
+        with pytest.raises(SchemaError, match="^duplicate task id T1$"):
+            FleetConfig(agvs=(Agv("A"), Agv("B")),
+                        tasks=(Task("T1", "A", 0, 1), Task("T1", "B", 1, 2)))
 
     def test_task_unknown_agv_rejected(self):
         with pytest.raises(CrossReferenceError):
@@ -315,11 +320,17 @@ class TestRejectedEnvironmentFiles:
          "edge references unknown node 99"),
         ("--config", _set(("agvs", 0, "attributes"), [1]), SchemaError,
          "config.agvs[0].attributes: expected an object"),
-        ("--config", _copy_first_task_id, SchemaError, "duplicate task ids"),
+        ("--net", _set(("nodes", 1, "id"), 0), SchemaError,
+         "duplicate node id 0"),
+        ("--config", _set(("agvs", 1, "id"), "AGV-1"), SchemaError,
+         "duplicate agv id AGV-1"),
+        ("--config", _copy_first_task_id, SchemaError,
+         "duplicate task id T1"),
         ("--scenario", _set(("params",), [6, 7]), SchemaError,
          "scenario.params: expected an object"),
     ], ids=["node-int", "node-type-int", "unknown-source", "attributes-list",
-            "task-id-repeated", "params-list"])
+            "node-id-repeated", "agv-id-repeated", "task-id-repeated",
+            "params-list"])
     def test_parser_and_cli_reject(self, tmp_path, capsys, flag, change,
                                    error, prefix):
         default, parser = self.FILES[flag]
@@ -572,6 +583,12 @@ class TestScenarioPrompt:
              "assigned to task T3, ensuring its solution path contains "
              "the subsequence (6, 10, 11).")
 
-    def test_unknown_level_rejected(self):
-        with pytest.raises(UnknownCombination):
-            scenario_prompt(self.CLOSURE, "manager")
+    def test_unknown_level_rejected(self, closure_instance):
+        env, spec = closure_instance
+        message = "^unknown expertise level 'bogus'$"
+        with pytest.raises(SchemaError, match=message):
+            scenario_prompt(spec, "bogus")
+        with pytest.raises(SchemaError, match=message):
+            with_level(env, spec, "bogus")
+        with pytest.raises(SchemaError, match=message):
+            Requirements("bogus", ())

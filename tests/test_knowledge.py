@@ -132,8 +132,13 @@ class TestValidateExemplar:
 
 class TestKnowledgeBase:
     def test_duplicate_ids_rejected(self):
-        with pytest.raises(ValidationError):
+        message = f"^duplicate exemplar id {CLOSURE_EXEMPLAR.id}$"
+        with pytest.raises(ValidationError, match=message):
             kn.KnowledgeBase(exemplars=(CLOSURE_EXEMPLAR, CLOSURE_EXEMPLAR))
+        flow = kn.Primitive("flow", "constraint_formulation", "t", "b")
+        with pytest.raises(ValidationError,
+                           match="^duplicate primitive id flow$"):
+            kn.KnowledgeBase(primitives=(flow, flow))
 
     def test_append_validates(self):
         kb = kn.KnowledgeBase()
@@ -244,7 +249,8 @@ class TestLoadAndPersist:
         self.write_kb(tmp_path)
         prim = tmp_path / "primitives"
         (prim / "b.md").write_text((prim / "a.md").read_text())
-        self.assert_rejected(tmp_path, capsys, "duplicate primitive ids")
+        self.assert_rejected(tmp_path, capsys,
+                             "b.md: duplicate primitive id flow, also in a.md")
 
     def test_load_and_cli_reject_invalid_stored_exemplar(self, tmp_path,
                                                          capsys):

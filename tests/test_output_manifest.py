@@ -8,7 +8,8 @@ import output_manifest
 def test_bench_matrix_outputs_match_the_recorded_manifest(tmp_path):
     expected = json.loads(output_manifest.EXPECTED.read_text())
     actual = output_manifest.manifest(tmp_path)
-    assert output_manifest.first_difference(expected, actual) is None
+    difference = output_manifest.first_difference(expected, actual)
+    assert difference is None
 
 
 def test_first_difference_names_the_run_and_output():
